@@ -1,7 +1,7 @@
 // micro_model — weight-arena storage ops + whole-model scan thread
-// scaling under byte-range vs layer-granular work sharding.
+// scaling of the scheduler's byte-range chunk plan.
 //
-// Two sections, both landing in BENCH_model.json:
+// Three sections, all landing in BENCH_model.json:
 //
 //  1. Arena storage ops (GB/s): a raw memcpy baseline (the bandwidth
 //     ceiling every other row is judged against, measured in-bench on
@@ -10,36 +10,37 @@
 //     compare speed), and snapshot compare (dispatched bytes_equal) on a
 //     wide ResNet whose conv layers span the realistic ~100x size spread.
 //
-//  2. Whole-model scan thread scaling 1..8: the same radar2 G=512 scan
-//     partitioned the legacy way (one work item per layer — bounded by
-//     the largest layer) vs byte-range group shards (equal-byte work
-//     items through scan_layer_range_into). Reports are asserted
-//     byte-identical across all partitionings and thread counts, and
-//     byte-range throughput is asserted monotone-or-flat in the thread
-//     count (exit 1 on regression): sessions clamp workers to the
-//     hardware core count, so requesting more threads must never scan
-//     slower than requesting fewer.
+//  2. Whole-model scan thread scaling 1..8: the same radar2 G=512
+//     ScanScheduler sweep (equal-byte group-range chunks through
+//     scan_layer_range_into), serial at t1 and drained over a T-thread
+//     pool above it. Reports are asserted byte-identical to the serial
+//     scan at every thread count, and throughput is asserted
+//     monotone-or-flat in the thread count (exit 1 on regression): the
+//     drain clamps workers to the hardware core count, so requesting
+//     more threads must never scan slower than requesting fewer.
 //
 //  3. Load balance (machine-independent): the critical-path bytes of a
-//     greedy T-worker schedule over each partitioning's work items, and
-//     the parallel speedup it bounds. Layer-granular partitioning is
-//     limited by its largest layer (~14% of this model in ONE item), so
-//     its speedup bound flattens near 7x regardless of thread count;
-//     byte-range shards keep the bound near-linear. This is the
-//     acceptance number on machines (like 1-core CI sandboxes) where
-//     wall-clock scaling cannot show up.
+//     greedy T-worker schedule over the scheduler's chunk plan, against
+//     one work item per layer, and the parallel speedup each bounds.
+//     Layer-granular items are limited by the largest layer (~14% of
+//     this model in ONE item), so that bound flattens near 7x regardless
+//     of thread count; the byte-range chunks keep it near-linear. This
+//     is the acceptance number on machines (like 1-core CI sandboxes)
+//     where wall-clock scaling cannot show up.
 //
 // Usage: bench_micro_model
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "core/scan_session.h"
+#include "common/thread_pool.h"
+#include "core/scan_scheduler.h"
 #include "core/scheme_registry.h"
 #include "nn/resnet.h"
 #include "quant/qmodel.h"
@@ -66,8 +67,8 @@ std::int64_t critical_path_bytes(std::vector<std::int64_t> items,
 
 int main() {
   bench::heading("micro_model",
-                 "arena storage ops + scan thread scaling (byte-range vs "
-                 "layer sharding)");
+                 "arena storage ops + scan thread scaling (byte-range "
+                 "chunks)");
   bench::JsonReport json("model");
 
   // A wide ResNet: realistic conv-size skew at multi-MB arena scale.
@@ -141,39 +142,34 @@ int main() {
   std::printf("  %-28s %16s %9s %9s\n", "full scan", "ns/op", "GB/s",
               "speedup");
   bench::rule();
+  core::ScanScheduler sched;
+  sched.plan(*scheme, {});
   double base_ns = 0.0;
   bool identical = true;
   std::vector<std::pair<std::size_t, double>> byterange_ns;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    for (const auto sharding : {core::ScanSession::Sharding::kLayer,
-                                core::ScanSession::Sharding::kByteRange}) {
-      const bool by_range =
-          sharding == core::ScanSession::Sharding::kByteRange;
-      core::ScanSession session(*scheme, threads);
-      session.set_sharding(sharding);
-      core::DetectionReport report;
-      session.scan_into(qm, report);  // warm up pool + scratch
-      identical = identical && report.flagged == serial_report.flagged;
-      // Min of three passes: shared CI boxes see CPU steal spikes well
-      // above the real row-to-row differences this section gates on.
-      double ns = 1e300;
-      for (int pass = 0; pass < 3; ++pass) {
-        ns = std::min(ns, bench::measure_ns_per_op([&] {
-          session.scan_into(qm, report);
-          g_sink = g_sink + report.num_flagged_groups();
-        }));
-      }
-      char name[64];
-      std::snprintf(name, sizeof(name), "scan_%s_t%zu",
-                    by_range ? "byterange" : "layer", threads);
-      if (threads == 1 && !by_range) base_ns = ns;
-      if (by_range) byterange_ns.emplace_back(threads, ns);
-      json.add(name, ns, bytes);
-      std::printf("  %-28s %16.1f %9.2f %8.2fx\n", name, ns, bytes / ns,
-                  base_ns / ns);
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+    // Warm up pool + scratch.
+    identical = identical &&
+                sched.sweep(qm, pool.get()).flagged == serial_report.flagged;
+    // Min of three passes: shared CI boxes see CPU steal spikes well
+    // above the real row-to-row differences this section gates on.
+    double ns = 1e300;
+    for (int pass = 0; pass < 3; ++pass) {
+      ns = std::min(ns, bench::measure_ns_per_op([&] {
+        g_sink = g_sink + sched.sweep(qm, pool.get()).num_flagged_groups();
+      }));
     }
+    char name[64];
+    std::snprintf(name, sizeof(name), "scan_byterange_t%zu", threads);
+    if (threads == 1) base_ns = ns;
+    byterange_ns.emplace_back(threads, ns);
+    json.add(name, ns, bytes);
+    std::printf("  %-28s %16.1f %9.2f %8.2fx\n", name, ns, bytes / ns,
+                base_ns / ns);
   }
-  std::printf("  reports byte-identical across partitionings: %s\n",
+  std::printf("  reports byte-identical across thread counts: %s\n",
               identical ? "yes" : "NO");
   // Monotone-or-flat gate: more requested threads must never make the
   // byte-range scan slower (10% tolerance absorbs run-to-run noise; the
@@ -200,30 +196,17 @@ int main() {
               std::thread::hardware_concurrency());
 
   // ---- section 3: machine-independent load balance ----
-  std::vector<std::int64_t> layer_items;
+  std::vector<std::int64_t> layer_items, range_items;
   for (std::size_t li = 0; li < qm.num_layers(); ++li)
     layer_items.push_back(qm.layer(li).size());
+  for (const core::ScanScheduler::Chunk& ch : sched.chunks())
+    range_items.push_back(ch.bytes);
   bench::rule();
   std::printf("  %-10s %18s %18s %12s %12s\n", "threads",
               "layer critpath B", "range critpath B", "layer bound",
               "range bound");
   bench::rule();
   for (const std::size_t threads : {1u, 2u, 4u, 8u, 16u}) {
-    // Byte-range shards: rebuild the session's plan (target = total /
-    // (threads * 4), the ScanSession default) as byte counts.
-    const std::int64_t target = std::max<std::int64_t>(
-        4096, qm.total_weights() / (static_cast<std::int64_t>(threads) * 4));
-    std::vector<std::int64_t> range_items;
-    for (std::size_t li = 0; li < qm.num_layers(); ++li) {
-      const std::int64_t nw = qm.layer(li).size();
-      const std::int64_t ng = scheme->layout(li).num_groups();
-      const std::int64_t chunks = std::max<std::int64_t>(
-          1, std::min(ng, (nw + target - 1) / target));
-      const std::int64_t per = (ng + chunks - 1) / chunks;
-      for (std::int64_t b = 0; b < ng; b += per)
-        range_items.push_back(std::min(b + per, ng) * params.group_size -
-                              b * params.group_size);
-    }
     const std::int64_t cp_layer = critical_path_bytes(layer_items, threads);
     const std::int64_t cp_range = critical_path_bytes(range_items, threads);
     const double bound_layer = bytes / static_cast<double>(cp_layer);

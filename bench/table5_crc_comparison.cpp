@@ -11,6 +11,7 @@
 // same schemes' detection rates under random MSB faults (the capability
 // axis the table's storage/time tradeoff buys).
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench_util.h"
@@ -18,7 +19,8 @@
 #include "codes/hamming.h"
 #include "common/env.h"
 #include "common/rng.h"
-#include "core/scan_session.h"
+#include "common/thread_pool.h"
+#include "core/scan_scheduler.h"
 #include "core/scheme_registry.h"
 #include "sim/netdesc.h"
 #include "sim/timing.h"
@@ -109,15 +111,18 @@ int main() {
                   static_cast<long long>(scheme->signature_storage_bytes()));
     }
 
-    // Layer-parallel ScanSession scaling on the cheapest scheme.
+    // Whole-model sweep scaling over a scan pool on the cheapest scheme.
     auto radar = core::SchemeRegistry::instance().create("radar2", params);
     radar->attach(qm);
-    std::printf("\nScanSession scaling (radar2):\n");
+    core::ScanScheduler sched;
+    sched.plan(*radar, {});
+    std::printf("\nscheduler sweep scaling (radar2):\n");
     for (const std::size_t threads : {1, 2, 4}) {
-      const core::ScanSession session(*radar, threads);
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
       const double ns = bench::measure_ns_per_op(
-          [&] { (void)session.scan(qm); });
-      json.add("scan_session/radar2/t" + std::to_string(threads), ns, bytes);
+          [&] { (void)sched.sweep(qm, pool.get()); });
+      json.add("scan_sweep/radar2/t" + std::to_string(threads), ns, bytes);
       std::printf("  %zu thread(s): %10.1f us/scan\n", threads, ns / 1e3);
     }
     std::printf(

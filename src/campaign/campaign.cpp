@@ -20,7 +20,6 @@
 #include "common/serialize.h"
 #include "common/thread_pool.h"
 #include "core/scan_scheduler.h"
-#include "core/scan_session.h"
 #include "core/scheme_registry.h"
 #include "exp/workspace.h"
 
@@ -78,21 +77,25 @@ struct TrialOutcome {
   std::vector<std::int64_t> sched_batch_ns;  ///< interleaved batch latencies
 };
 
-/// Per-chunk context of the evaluation phase. In kFull mode the scheme
-/// (and its scan session) is re-attached whenever the chunk crosses a
-/// cell boundary. In kIncremental mode every scheme column is attached at
-/// most once per worker and cached (a scheme's golden codes depend only on
-/// its spec and the clean model, so cells sharing a scheme share the
-/// attachment), and the reusable DetectionReport keeps the per-trial scan
-/// loop allocation-free.
+/// An attached scheme and the scheduler planned over it.
+struct SchemeSlot {
+  std::unique_ptr<core::IntegrityScheme> scheme;
+  core::ScanScheduler scheduler;
+};
+
+/// Per-chunk context of the evaluation phase. In kFull / kScheduled mode
+/// the single slot is re-attached and replanned whenever the chunk
+/// crosses a cell boundary. In kIncremental mode every scheme column is
+/// attached at most once per worker and cached (a scheme's golden codes
+/// depend only on its spec and the clean model, so cells sharing a scheme
+/// share the attachment), and the reusable DetectionReport keeps the
+/// per-trial scan loop allocation-free. The scan pool (scan_threads != 1)
+/// is shared by every slot of the context.
 struct EvalContext {
   std::size_t cell = static_cast<std::size_t>(-1);
-  std::unique_ptr<core::IntegrityScheme> scheme;
-  std::unique_ptr<core::ScanSession> session;
-  std::vector<std::unique_ptr<core::IntegrityScheme>> schemes;  ///< per si
-  std::vector<std::unique_ptr<core::ScanSession>> sessions;     ///< per si
-  core::DetectionReport report;  ///< scratch, reused across trials
-  core::ScanScheduler scheduler;  ///< kScheduled only, replanned per cell
+  std::vector<SchemeSlot> slots;
+  std::unique_ptr<ThreadPool> pool;
+  core::DetectionReport report;  ///< kIncremental scratch, reused
 };
 
 /// Fan fn(replica, context, unit) out over `pool` in contiguous chunks
@@ -345,85 +348,55 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) const {
     quant::QuantizedModel& qm = *rep.bundle.qmodel;
     const bool incremental = mode_ == ScanMode::kIncremental;
     const bool scheduled = mode_ == ScanMode::kScheduled;
-    core::IntegrityScheme* scheme = nullptr;
-    core::ScanSession* session = nullptr;
-    if (incremental) {
-      // Schemes depend only on their spec and the clean model, so each
-      // worker attaches each scheme column once and reuses it across
-      // cells. The model is clean here (fresh replica, or undone by the
-      // previous trial), which is exactly what attach requires.
-      if (ctx.schemes.empty()) ctx.schemes.resize(S);
-      if (!qm.dirty_tracking()) qm.set_dirty_tracking(true);
-      if (ctx.schemes[si] == nullptr) {
-        const SchemeSpec& ss = spec.schemes[si];
-        ctx.schemes[si] =
-            core::SchemeRegistry::instance().create(ss.id, ss.params);
-        ctx.schemes[si]->attach(qm);
+    if (ctx.slots.empty()) ctx.slots.resize(incremental ? S : 1);
+    if (ctx.pool == nullptr && scan_threads_ != 1)
+      ctx.pool = std::make_unique<ThreadPool>(scan_threads_);
+    SchemeSlot& slot = ctx.slots[incremental ? si : 0];
+    if (incremental && !qm.dirty_tracking()) qm.set_dirty_tracking(true);
+    // kIncremental attaches each scheme column once per worker and reuses
+    // it across cells: schemes depend only on their spec and the clean
+    // model, and the model is clean here (fresh replica, or undone by the
+    // previous trial). The other modes re-attach at every cell boundary.
+    if (incremental ? slot.scheme == nullptr : ctx.cell != cell) {
+      if (!incremental) qm.restore(rep.clean);  // attach to clean weights
+      const SchemeSpec& ss = spec.schemes[si];
+      slot.scheme = core::SchemeRegistry::instance().create(ss.id, ss.params);
+      slot.scheme->attach(qm);
+      core::ScanScheduler::Config scfg;
+      if (scheduled) {
+        scfg.budget_us = eval_.scan_budget_us;
+        scfg.budget_bytes = eval_.scan_budget_bytes;
+        scfg.chunk_bytes = eval_.scan_chunk_bytes;
+        // Prime the engine's cached eval batches while the model is
+        // clean so each slice can interleave a real inference batch.
+        if (spec.eval_subset > 0)
+          exp::accuracy_on_subset(rep.bundle, spec.eval_subset);
       }
-      scheme = ctx.schemes[si].get();
-      if (scan_threads_ == 1) {
-        // Poolless sessions are cheap: cache one per scheme so their scan
-        // scratch stays warm across cells.
-        if (ctx.sessions.empty()) ctx.sessions.resize(S);
-        if (ctx.sessions[si] == nullptr)
-          ctx.sessions[si] =
-              std::make_unique<core::ScanSession>(*scheme, scan_threads_);
-        session = ctx.sessions[si].get();
-      } else {
-        // Pooled sessions own worker threads; caching one per scheme
-        // would keep workers x schemes x scan_threads threads alive.
-        // Hold only the current cell's, like the full engine does.
-        if (ctx.cell != cell || ctx.session == nullptr) {
-          ctx.session =
-              std::make_unique<core::ScanSession>(*scheme, scan_threads_);
-          ctx.cell = cell;
-        }
-        session = ctx.session.get();
-      }
-    } else {
-      if (ctx.cell != cell || ctx.scheme == nullptr) {
-        qm.restore(rep.clean);  // golden codes must come from clean weights
-        const SchemeSpec& ss = spec.schemes[si];
-        ctx.session.reset();
-        ctx.scheme =
-            core::SchemeRegistry::instance().create(ss.id, ss.params);
-        ctx.scheme->attach(qm);
-        if (scheduled) {
-          core::ScanScheduler::Config scfg;
-          scfg.budget_us = eval_.scan_budget_us;
-          scfg.budget_bytes = eval_.scan_budget_bytes;
-          scfg.chunk_bytes = eval_.scan_chunk_bytes;
-          ctx.scheduler.plan(*ctx.scheme, scfg);
-          // Prime the engine's cached eval batches while the model is
-          // clean so each slice can interleave a real inference batch.
-          if (spec.eval_subset > 0)
-            exp::accuracy_on_subset(rep.bundle, spec.eval_subset);
-        } else {
-          ctx.session = std::make_unique<core::ScanSession>(*ctx.scheme,
-                                                            scan_threads_);
-        }
-        ctx.cell = cell;
-      }
-      scheme = ctx.scheme.get();
-      session = ctx.session.get();
+      slot.scheduler.plan(*slot.scheme, scfg);
+      ctx.cell = cell;
     }
+    core::IntegrityScheme& scheme = *slot.scheme;
+    core::ScanScheduler& sched = slot.scheduler;
     const attack::AttackResult& profile = profiles[(ai * F + fi) * T + t];
     for (const attack::BitFlip& f : profile.flips)
       qm.flip_bit(f.layer, f.index, f.bit);
     TrialOutcome& o = outcomes[u];
-    if (scheduled) {
-      // Interleave budgeted scan slices with inference batches until the
-      // sweep wraps — the serve-path cadence, measured per trial. The
-      // completed sweep's report equals a serial scan bit for bit, so
-      // everything downstream (detection counts, recovery, accuracy) is
-      // byte-identical to kFull; only the timing telemetry differs.
+    if (incremental) {
+      sched.scan_dirty_into(qm, ctx.report, ctx.pool.get());
+    } else {
+      // Drain scan slices until the sweep wraps: one unlimited slice in
+      // kFull; in kScheduled, budgeted slices interleaved with inference
+      // batches — the serve-path cadence, measured per trial. A completed
+      // sweep's report equals a serial scan bit for bit, so everything
+      // downstream (detection counts, recovery, accuracy) is
+      // byte-identical across the modes; only the timing telemetry
+      // differs.
       using clock = std::chrono::steady_clock;
-      core::ScanScheduler& sched = ctx.scheduler;
       sched.restart_sweep();
       const auto s0 = clock::now();
       core::ScanScheduler::Slice slice;
       do {
-        if (rep.bundle.engine != nullptr &&
+        if (scheduled && rep.bundle.engine != nullptr &&
             !rep.bundle.eval_batches.empty()) {
           const data::Batch& tb = rep.bundle.eval_batches
               [static_cast<std::size_t>(o.sched_slices) %
@@ -437,7 +410,7 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) const {
                   .count());
           rep.bundle.eval_images += tb.images.dim(0);
         }
-        slice = sched.run_slice(qm);
+        slice = sched.run_slice(qm, ctx.pool.get());
         o.sched_scan_ns += slice.elapsed_ns;
         o.sched_bytes += slice.bytes;
         ++o.sched_slices;
@@ -450,19 +423,15 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) const {
         }
       } while (!slice.wrapped);
       o.sched_sweep_ns = sched.last_sweep_ns();
-      ctx.report.flagged = sched.last_sweep_report().flagged;
-    } else if (incremental) {
-      session->scan_dirty_into(qm, ctx.report);
-    } else {
-      session->scan_into(qm, ctx.report);
     }
-    const core::DetectionReport& report = ctx.report;
+    const core::DetectionReport& report =
+        incremental ? ctx.report : sched.last_sweep_report();
     o.flips = static_cast<std::int64_t>(profile.flips.size());
     o.detected =
-        core::count_detected_flips(*scheme, report, profile.flip_sites());
+        core::count_detected_flips(scheme, report, profile.flip_sites());
     o.flagged = report.num_flagged_groups();
     o.any_detected = report.attack_detected();
-    scheme->recover(qm, report, spec.policy);
+    scheme.recover(qm, report, spec.policy);
     if (spec.eval_subset > 0)
       o.acc_recovered = exp::accuracy_on_subset(rep.bundle, spec.eval_subset);
     if (incremental)

@@ -8,8 +8,9 @@
 //      and record the committed BitFlips (and post-attack accuracy when
 //      eval_subset > 0);
 //   2. evaluation — one per (attacker, fault rate, scheme, trial): replay
-//      the recorded flips against a freshly attached scheme, scan through
-//      ScanSession, apply the recovery policy, and measure the outcome.
+//      the recorded flips against an attached scheme, scan it through a
+//      core::ScanScheduler, apply the recovery policy, and measure the
+//      outcome.
 //
 // Determinism is by construction: every unit draws from an RNG seeded by
 // derive_seed(spec.seed, phase, unit) — a pure function of the spec, never
@@ -32,10 +33,12 @@ namespace radar::campaign {
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t phase,
                           std::uint64_t unit);
 
-/// How the evaluation phase scans and restores between trials.
+/// How the evaluation phase scans and restores between trials. Every mode
+/// scans through a core::ScanScheduler; they differ in what a trial scans
+/// and how it is undone.
 enum class ScanMode {
-  /// Full rescan of every group plus a whole-model snapshot restore per
-  /// trial (the original engine; kept as the differential baseline).
+  /// One unlimited-budget sweep of every group plus a whole-model
+  /// snapshot restore per trial (the differential baseline).
   kFull,
   /// Incremental: schemes attach once per worker and stay cached, each
   /// trial's writes are tracked as dirty ranges, only the touched groups
@@ -43,9 +46,9 @@ enum class ScanMode {
   /// restoring the whole snapshot. Reports are byte-identical to kFull
   /// (enforced by CI and the differential tests).
   kIncremental,
-  /// Scheduled: each trial's scan runs through a budget-driven
-  /// core::ScanScheduler, interleaving one inference batch between scan
-  /// slices and recording time-to-detect as a function of the budget —
+  /// Scheduled: kFull's sweep, drained in budget-bounded slices with one
+  /// inference batch interleaved before each slice, recording
+  /// time-to-detect as a function of the budget —
   /// the detection-latency side of the QoS Pareto. The completed sweep's
   /// report is byte-identical to kFull for ANY budget (the budget moves
   /// *when* groups are scanned, never what a sweep reports), so default
@@ -72,8 +75,9 @@ struct EvalOptions {
 class CampaignRunner {
  public:
   /// `threads`: trial-level workers (0 = hardware concurrency, 1 =
-  /// inline). `scan_threads`: layer-parallel ScanSession width inside each
-  /// trial (per-trial scans stay bit-identical to serial scans).
+  /// inline). `scan_threads`: size of each worker's scan pool, which
+  /// unlimited-budget sweeps drain over (0 = hardware concurrency, 1 = no
+  /// pool; per-trial scans stay bit-identical to serial scans).
   explicit CampaignRunner(std::size_t threads = 1,
                           std::size_t scan_threads = 1,
                           ScanMode mode = ScanMode::kFull,

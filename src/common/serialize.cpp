@@ -1,27 +1,62 @@
 #include "common/serialize.h"
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
+#include <unistd.h>
+#define RADAR_HAVE_FSYNC 1
+#endif
 
 namespace radar {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x52414452;  // "RADR"
 constexpr std::uint64_t kMaxVectorBytes = 1ull << 32;
+
+/// Sibling temp path, unique per process and writer, so concurrent
+/// writers of one target never share a temp file.
+std::string temp_path_for(const std::string& path) {
+  static std::atomic<std::uint64_t> counter{0};
+  std::string tmp = path + ".tmp.";
+#ifdef RADAR_HAVE_FSYNC
+  tmp += std::to_string(::getpid()) + ".";
+#endif
+  return tmp + std::to_string(counter.fetch_add(1));
+}
+
+/// Force a closed file's data to stable storage before it is renamed
+/// into place (a crash could otherwise leave an empty file behind the
+/// new name).
+void sync_file(const std::string& path) {
+#ifdef RADAR_HAVE_FSYNC
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) throw SerializationError("cannot open for sync: " + path);
+  const int rc = ::fsync(fd);
+  ::close(fd);
+  if (rc != 0) throw SerializationError("fsync failure: " + path);
+#else
+  (void)path;
+#endif
+}
 }  // namespace
 
 BinaryWriter::BinaryWriter(const std::string& path,
                            std::uint32_t format_version)
-    : out_(path, std::ios::binary), path_(path) {
+    : path_(path), tmp_path_(temp_path_for(path)) {
+  out_.open(tmp_path_, std::ios::binary);
   if (!out_) throw SerializationError("cannot open for write: " + path);
   write_u32(kMagic);
   write_u32(format_version);
 }
 
 BinaryWriter::~BinaryWriter() {
-  if (!closed_) {
-    out_.flush();
-  }
+  if (closed_) return;
+  out_.close();
+  std::error_code ec;
+  std::filesystem::remove(tmp_path_, ec);
 }
 
 template <typename T>
@@ -86,6 +121,12 @@ void BinaryWriter::close() {
   out_.flush();
   if (!out_) throw SerializationError("flush failure: " + path_);
   out_.close();
+  if (out_.fail()) throw SerializationError("close failure: " + path_);
+  sync_file(tmp_path_);
+  std::error_code ec;
+  std::filesystem::rename(tmp_path_, path_, ec);
+  if (ec)
+    throw SerializationError("cannot replace " + path_ + ": " + ec.message());
   closed_ = true;
 }
 

@@ -3,6 +3,9 @@
 // A tiny, versioned, little-endian tagged format. Writers and readers are
 // symmetric; readers validate magic/version and length-prefix every string
 // and buffer, throwing SerializationError on any truncation or mismatch.
+// Writes are crash-safe: a writer fills a sibling temp file and only
+// close() swaps it over the target, so the target always holds either
+// its previous content or the complete new file.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +20,11 @@ namespace radar {
 /// Streaming binary writer.
 class BinaryWriter {
  public:
-  /// Opens `path` for writing and emits the header. Throws on I/O failure.
+  /// Opens a temp file next to `path` and emits the header. Throws on I/O
+  /// failure.
   BinaryWriter(const std::string& path, std::uint32_t format_version);
+  /// A writer destroyed without a successful close() (e.g. unwound by an
+  /// exception mid-write) deletes its temp file; `path` is untouched.
   ~BinaryWriter();
 
   void write_u8(std::uint8_t v);
@@ -36,14 +42,16 @@ class BinaryWriter {
   void write_u8_vector(const std::vector<std::uint8_t>& v);
   void write_u64_vector(const std::vector<std::uint64_t>& v);
 
-  /// Flushes and closes; throws if the stream is in a bad state.
+  /// Flushes, fsyncs and closes the temp file, then renames it over the
+  /// target. Throws (leaving the target untouched) on any failure.
   void close();
 
  private:
   template <typename T>
   void write_raw(const T& v);
-  std::ofstream out_;
   std::string path_;
+  std::string tmp_path_;
+  std::ofstream out_;
   bool closed_ = false;
 };
 

@@ -9,7 +9,8 @@
 // plumbing every grouped code shares: per-layer GroupLayouts, the clean
 // snapshot backing kReloadClean recovery, and the layer-loop defaults for
 // scan / resign. Concrete schemes are created by name through
-// SchemeRegistry; whole-model scans parallelize through ScanSession.
+// SchemeRegistry; whole-model scans run through ScanScheduler, which
+// partitions them into group-range chunks scanned by the range primitive.
 #pragma once
 
 #include <cstdint>
@@ -116,12 +117,11 @@ class IntegrityScheme {
 
   /// Range scan: recompute only groups [group_begin, group_end) of one
   /// layer, filling `flagged` (cleared first) with the mismatching ids in
-  /// that range. This is the byte-range sharding primitive ScanSession
-  /// partitions whole-model scans with: the result equals the
-  /// corresponding slice of scan_layer_into bit for bit, at cost
-  /// proportional to the bytes the range covers. Default recomputes the
-  /// full layer and trims — correct, but rangeless schemes gain no
-  /// sharding speedup.
+  /// that range. This is the primitive ScanScheduler chunks whole-model
+  /// scans with: the result equals the corresponding slice of
+  /// scan_layer_into bit for bit, at cost proportional to the bytes the
+  /// range covers. Default recomputes the full layer and trims — correct,
+  /// but rangeless schemes cannot be split into chunks.
   virtual void scan_layer_range_into(const quant::QuantizedModel& qm,
                                      std::size_t layer,
                                      std::int64_t group_begin,
@@ -130,9 +130,9 @@ class IntegrityScheme {
                                      ScanScratch& scratch) const;
 
   /// True when scan_layer_range_into costs O(range bytes) rather than
-  /// falling back to a full-layer scan + trim. ScanSession only splits a
-  /// layer into byte-range shards for schemes that say so — splitting a
-  /// trim-fallback scheme would multiply total work by the shard count.
+  /// falling back to a full-layer scan + trim. ScanScheduler only splits a
+  /// layer into several chunks for schemes that say so — splitting a
+  /// trim-fallback scheme would multiply total work by the chunk count.
   virtual bool supports_range_scan() const { return false; }
 
   /// Apply recovery to every flagged group.

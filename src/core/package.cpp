@@ -4,7 +4,8 @@
 
 #include "codes/crc.h"
 #include "common/serialize.h"
-#include "core/scan_session.h"
+#include "common/thread_pool.h"
+#include "core/scan_scheduler.h"
 #include "core/scheme_registry.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -379,7 +380,11 @@ PackageLoadReport load_package(const std::string& path,
   }
 #endif
 
-  report.tamper = ScanSession(*scheme, opts.threads).scan(qm);
+  ScanScheduler verify;
+  verify.plan(*scheme, {});
+  std::unique_ptr<ThreadPool> pool;
+  if (opts.threads != 1) pool = std::make_unique<ThreadPool>(opts.threads);
+  report.tamper = verify.sweep(qm, pool.get());
   report.signatures_ok = !report.tamper.attack_detected();
   return report;
 }

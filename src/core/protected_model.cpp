@@ -2,15 +2,9 @@
 
 namespace radar::core {
 
-void ProtectedModel::set_scan_threads(std::size_t threads) {
-  session_ = threads == 1 ? nullptr
-                          : std::make_unique<ScanSession>(*scheme_, threads);
-}
-
 DetectionReport ProtectedModel::check_and_recover() {
   ++scans_;
-  DetectionReport report =
-      session_ ? session_->scan(*qm_) : scheme_->scan(*qm_);
+  DetectionReport report = scheduler_.sweep(*qm_, pool_.get());
   if (report.attack_detected()) {
     ++detections_;
     groups_recovered_ += report.num_flagged_groups();

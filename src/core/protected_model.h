@@ -6,15 +6,17 @@
 // pass. Works with any registered scheme — RADAR signatures or the CRC /
 // Fletcher / Hamming baselines. Counters expose how often scans,
 // detections and recoveries happened, which the examples surface as a
-// run-time security log. Whole-model scans optionally fan out across
-// layers via ScanSession (set_scan_threads).
+// run-time security log. Whole-model scans are ScanScheduler sweeps,
+// drained over a thread pool when set_scan_threads asks for one.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 
+#include "common/thread_pool.h"
 #include "core/integrity_scheme.h"
-#include "core/scan_session.h"
+#include "core/scan_scheduler.h"
 
 namespace radar::core {
 
@@ -25,6 +27,7 @@ class ProtectedModel {
                  RecoveryPolicy policy = RecoveryPolicy::kZeroOut)
       : qm_(&qm), scheme_(&scheme), policy_(policy) {
     RADAR_REQUIRE(scheme.attached(), "scheme must be attached first");
+    scheduler_.plan(scheme, {});
   }
 
   /// Verified inference: scan → (recover if needed) → forward.
@@ -40,9 +43,11 @@ class ProtectedModel {
   /// Scan + recover without running inference; returns the report.
   DetectionReport check_and_recover();
 
-  /// Route whole-model scans through a ScanSession over `threads` worker
-  /// threads (0 = hardware concurrency, 1 = back to serial scans).
-  void set_scan_threads(std::size_t threads);
+  /// Size the pool whole-model scans drain over (0 = hardware
+  /// concurrency, 1 = serial scans without a pool).
+  void set_scan_threads(std::size_t threads) {
+    pool_ = threads == 1 ? nullptr : std::make_unique<ThreadPool>(threads);
+  }
 
   // ---- telemetry ----
   std::int64_t scans() const { return scans_; }
@@ -67,7 +72,8 @@ class ProtectedModel {
   quant::QuantizedModel* qm_;
   IntegrityScheme* scheme_;
   RecoveryPolicy policy_;
-  std::unique_ptr<ScanSession> session_;  ///< null: serial whole-model scan
+  ScanScheduler scheduler_;           ///< unlimited-budget whole-model sweeps
+  std::unique_ptr<ThreadPool> pool_;  ///< null: serial sweeps
   std::function<void(const DetectionReport&)> alarm_;
   std::vector<std::vector<std::size_t>> stage_map_;
   bool stage_map_built_ = false;

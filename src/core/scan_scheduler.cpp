@@ -1,8 +1,11 @@
 #include "core/scan_scheduler.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <thread>
 
+#include "common/thread_pool.h"
 #include "quant/epoch_guard.h"
 
 namespace radar::core {
@@ -19,10 +22,10 @@ void ScanScheduler::plan(const IntegrityScheme& scheme, Config cfg) {
   sweep_started_ = false;
   sweep_end_ = Clock::now();
 
-  // Same partitioning rule as ScanSession: chunks cover contiguous
-  // ascending group ranges sized to ~chunk_bytes of weights; schemes
-  // whose range scan is a full-layer fallback keep one chunk per layer
-  // (splitting would rescan the whole layer per chunk).
+  // Chunks cover contiguous ascending group ranges sized to
+  // ~chunk_bytes of weights; schemes whose range scan is a full-layer
+  // fallback keep one chunk per layer (splitting would rescan the whole
+  // layer per chunk).
   const bool splittable = scheme.supports_range_scan();
   for (std::size_t li = 0; li < scheme.num_layers(); ++li) {
     const GroupLayout& layout = scheme.layout(li);
@@ -68,13 +71,14 @@ std::int64_t ScanScheduler::coverage_age_ns() const {
 
 void ScanScheduler::scan_range(const quant::QuantizedModel& qm,
                                std::size_t layer, std::int64_t begin,
-                               std::int64_t end) {
+                               std::int64_t end,
+                               std::vector<std::int64_t>& flags,
+                               ScanScratch& scratch) {
   // Whole-layer fast path when the range covers every group.
   if (begin == 0 && end == scheme_->layout(layer).num_groups())
-    scheme_->scan_layer_into(qm, layer, chunk_flags_, scratch_);
+    scheme_->scan_layer_into(qm, layer, flags, scratch);
   else
-    scheme_->scan_layer_range_into(qm, layer, begin, end, chunk_flags_,
-                                   scratch_);
+    scheme_->scan_layer_range_into(qm, layer, begin, end, flags, scratch);
 }
 
 void ScanScheduler::scan_range_guarded(const quant::QuantizedModel& qm,
@@ -83,7 +87,7 @@ void ScanScheduler::scan_range_guarded(const quant::QuantizedModel& qm,
                                        std::int64_t end) {
   quant::EpochGuard* guard = qm.epoch_guard();
   if (guard == nullptr) {
-    scan_range(qm, layer, begin, end);
+    scan_range(qm, layer, begin, end, chunk_flags_, scratch_[0]);
     return;
   }
   // The validated range is the layer's whole byte range: interleaved
@@ -97,7 +101,7 @@ void ScanScheduler::scan_range_guarded(const quant::QuantizedModel& qm,
       std::this_thread::yield();
       continue;
     }
-    scan_range(qm, layer, begin, end);
+    scan_range(qm, layer, begin, end, chunk_flags_, scratch_[0]);
     if (guard->read_validate(b0, b1, epoch_snap_)) {
       done = true;
     } else {
@@ -109,13 +113,93 @@ void ScanScheduler::scan_range_guarded(const quant::QuantizedModel& qm,
     // hot writer can delay detection, never defeat it.
     ++epoch_fallbacks_;
     auto lock = guard->lock_writers();
-    scan_range(qm, layer, begin, end);
+    scan_range(qm, layer, begin, end, chunk_flags_, scratch_[0]);
   }
 }
 
-ScanScheduler::Slice ScanScheduler::run_slice(
-    const quant::QuantizedModel& qm) {
+bool ScanScheduler::finish_chunk(const Chunk& ch,
+                                 const std::vector<std::int64_t>& flags,
+                                 Slice& out) {
+  auto& accum = building_.flagged[ch.layer];
+  accum.insert(accum.end(), flags.begin(), flags.end());
+  for (std::int64_t g : flags) slice_flags_.emplace_back(ch.layer, g);
+  out.bytes += ch.bytes;
+  ++out.chunks;
+  ++chunks_scanned_;
+  if (++cursor_ < plan_.size()) return false;
+  cursor_ = 0;
+  ++sweeps_;
+  out.wrapped = true;
+  sweep_end_ = Clock::now();
+  last_sweep_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       sweep_end_ - sweep_start_)
+                       .count();
+  sweep_started_ = false;
+  std::swap(sweep_report_.flagged, building_.flagged);
+  for (auto& v : building_.flagged) v.clear();
+  return true;
+}
+
+void ScanScheduler::scan_run(const quant::QuantizedModel& qm,
+                             std::size_t first, std::size_t last,
+                             ScanScratch& scratch) {
+  // One kernel call per layer piece of the run: consecutive chunks of a
+  // layer cover adjacent group ranges, so a single range scan yields
+  // their flags in plan order. They land in the piece's first slot.
+  for (std::size_t i = first; i < last;) {
+    std::size_t j = i + 1;
+    while (j < last && plan_[j].layer == plan_[i].layer)
+      chunk_slots_[j++].flags.clear();
+    scan_range(qm, plan_[i].layer, plan_[i].begin, plan_[j - 1].end,
+               chunk_slots_[i].flags, scratch);
+    i = j;
+  }
+}
+
+void ScanScheduler::drain(const quant::QuantizedModel& qm,
+                          ThreadPool* pool) {
+  const std::size_t n = plan_.size();
+  if (chunk_slots_.size() < n) chunk_slots_.resize(n);
+  // The pool clamped to the hardware core count: the scan kernels never
+  // block, so oversubscribing them only adds scheduling churn.
+  static const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t workers =
+      pool == nullptr ? 1 : std::min(pool->size(), hw);
+  if (workers == 1) {
+    scan_run(qm, cursor_, n, scratch_[0]);
+    return;
+  }
+  if (scratch_.size() < workers) scratch_.resize(workers);
+  // Workers claim equal runs of chunks off an atomic index, a few runs per
+  // worker: long enough to scan at streaming speed, enough of them to
+  // rebalance around a slow worker. One submitted task per worker.
+  constexpr std::size_t kRunsPerWorker = 4;
+  const std::size_t per = (n - cursor_ + kRunsPerWorker * workers - 1) /
+                          (kRunsPerWorker * workers);
+  std::atomic<std::size_t> next{cursor_};
+  std::exception_ptr error;
+  std::atomic<bool> failed{false};
+  for (std::size_t w = 0; w < workers; ++w) {
+    pool->submit([this, &qm, &next, &error, &failed, n, per, w] {
+      try {
+        std::size_t first;
+        while ((first = next.fetch_add(per, std::memory_order_relaxed)) < n)
+          scan_run(qm, first, std::min(first + per, n), scratch_[w]);
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
+      }
+    });
+  }
+  pool->wait();
+  if (error) std::rethrow_exception(error);
+}
+
+ScanScheduler::Slice ScanScheduler::run_slice(const quant::QuantizedModel& qm,
+                                              ThreadPool* pool) {
   RADAR_REQUIRE(planned(), "scheduler run_slice before plan");
+  RADAR_REQUIRE(pool == nullptr || qm.epoch_guard() == nullptr,
+                "parallel scan drain over an epoch-guarded arena");
   Slice out;
   slice_flags_.clear();
   if (cfg_.budget_us == 0 || cfg_.budget_bytes == 0) {
@@ -137,11 +221,10 @@ ScanScheduler::Slice ScanScheduler::run_slice(
     return true;
   };
 
-  std::int64_t units = 0;
   // Priority pass: dirty groups (recovery rewrites) before sweep work.
   // Flags are reported via slice_flags_ only — never merged into the
   // sweep report, which must stay bit-identical to a serial scan.
-  while (!dirty_queue_.empty() && (units == 0 || budget_left())) {
+  while (!dirty_queue_.empty() && (out.dirty_groups == 0 || budget_left())) {
     const auto [layer, group] = dirty_queue_.front();
     dirty_queue_.pop_front();
     dirty_set_.erase({layer, group});
@@ -153,38 +236,31 @@ ScanScheduler::Slice ScanScheduler::run_slice(
                layout.num_groups());
     ++out.dirty_groups;
     ++dirty_scanned_;
-    ++units;
   }
 
-  // Round-robin sweep chunks until the budget runs out or a sweep
-  // completes (a slice never scans past a wrap: callers harvest the
-  // per-sweep report at that stable point).
-  while (units == 0 || budget_left()) {
+  const auto start_sweep = [&] {
     if (!sweep_started_ && cursor_ == 0) {
       sweep_start_ = Clock::now();
       sweep_started_ = true;
     }
-    const Chunk& ch = plan_[cursor_];
-    scan_range_guarded(qm, ch.layer, ch.begin, ch.end);
-    auto& accum = building_.flagged[ch.layer];
-    accum.insert(accum.end(), chunk_flags_.begin(), chunk_flags_.end());
-    for (std::int64_t g : chunk_flags_) slice_flags_.emplace_back(ch.layer, g);
-    out.bytes += ch.bytes;
-    ++out.chunks;
-    ++chunks_scanned_;
-    ++units;
-    if (++cursor_ == plan_.size()) {
-      cursor_ = 0;
-      ++sweeps_;
-      out.wrapped = true;
-      sweep_end_ = Clock::now();
-      last_sweep_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           sweep_end_ - sweep_start_)
-                           .count();
-      sweep_started_ = false;
-      std::swap(sweep_report_.flagged, building_.flagged);
-      for (auto& v : building_.flagged) v.clear();
-      break;
+  };
+  if (cfg_.budget_us < 0 && cfg_.budget_bytes < 0 &&
+      qm.epoch_guard() == nullptr) {
+    // Nothing can interrupt this slice: drain the rest of the sweep in
+    // long runs (over the pool, if any) and merge in plan order.
+    start_sweep();
+    drain(qm, pool);
+    while (!finish_chunk(plan_[cursor_], chunk_slots_[cursor_].flags, out)) {
+    }
+  } else {
+    // Round-robin sweep chunks until the budget runs out or a sweep
+    // completes (a slice never scans past a wrap: callers harvest the
+    // per-sweep report at that stable point).
+    while (out.dirty_groups + out.chunks == 0 || budget_left()) {
+      start_sweep();
+      const Chunk& ch = plan_[cursor_];
+      scan_range_guarded(qm, ch.layer, ch.begin, ch.end);
+      if (finish_chunk(ch, chunk_flags_, out)) break;
     }
   }
 
@@ -192,6 +268,57 @@ ScanScheduler::Slice ScanScheduler::run_slice(
   out.flagged = !slice_flags_.empty();
   out.elapsed_ns = elapsed_ns();
   return out;
+}
+
+const DetectionReport& ScanScheduler::sweep(const quant::QuantizedModel& qm,
+                                            ThreadPool* pool) {
+  RADAR_REQUIRE(cfg_.budget_us != 0 && cfg_.budget_bytes != 0,
+                "sweep with a zero budget never completes");
+  restart_sweep();
+  while (!run_slice(qm, pool).wrapped) {
+  }
+  return sweep_report_;
+}
+
+void ScanScheduler::scan_dirty_into(const quant::QuantizedModel& qm,
+                                    DetectionReport& out, ThreadPool* pool) {
+  RADAR_REQUIRE(planned(), "scheduler scan before plan");
+  const std::size_t n = scheme_->num_layers();
+  RADAR_REQUIRE(n == qm.num_layers(), "scheme not attached to this model");
+  if (!qm.dirty_tracking()) {
+    // No log — the full scan is the only safe answer.
+    out.flagged = sweep(qm, pool).flagged;
+    return;
+  }
+  dirty_groups_.resize(n);
+  for (auto& g : dirty_groups_) g.clear();
+  // Map each recorded write to its checksum group through the layer's
+  // layout (group_of inverts interleave + skew in O(1)).
+  for (const quant::DirtyWrite& w : qm.dirty_writes())
+    dirty_groups_[w.layer].push_back(
+        scheme_->layout(w.layer).group_of(w.index));
+  std::int64_t total_dirty = 0;
+  for (auto& g : dirty_groups_) {
+    std::sort(g.begin(), g.end());
+    g.erase(std::unique(g.begin(), g.end()), g.end());
+    total_dirty += static_cast<std::int64_t>(g.size());
+  }
+  if (static_cast<double>(total_dirty) >
+      kFullScanFraction * static_cast<double>(scheme_->total_groups())) {
+    out.flagged = sweep(qm, pool).flagged;
+    return;
+  }
+  out.flagged.resize(n);
+  // Dirt is usually concentrated in a handful of layers; narrow scans are
+  // cheap enough that fanning them over a pool would cost more than it
+  // saves, so the incremental path always runs inline.
+  for (std::size_t li = 0; li < n; ++li) {
+    if (dirty_groups_[li].empty())
+      out.flagged[li].clear();  // untouched since baseline => still clean
+    else
+      scheme_->scan_layer_groups(qm, li, dirty_groups_[li], out.flagged[li],
+                                 scratch_[0]);
+  }
 }
 
 }  // namespace radar::core

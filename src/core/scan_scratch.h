@@ -5,9 +5,8 @@
 // buffers from one of these instead of heap-allocating per call. The
 // buffers grow to the high-water mark of the layers they serve and are
 // then reused, so a steady-state scan loop performs zero allocations.
-// A scratch object is not thread-safe; use one per worker (ScanSession
-// keeps one per layer, which is equivalent because its layer tasks are
-// disjoint).
+// A scratch object is not thread-safe; use one per worker (ScanScheduler
+// keeps one per parallel-drain worker).
 #pragma once
 
 #include <cstdint>

@@ -12,7 +12,7 @@
 //
 // Additional schemes (new codes, hardware backends) register themselves at
 // startup via register_scheme() and instantly work everywhere a scheme id
-// is accepted — packages, radar_cli --scheme, ScanSession, benches.
+// is accepted — packages, radar_cli --scheme, ScanScheduler, benches.
 #pragma once
 
 #include <functional>

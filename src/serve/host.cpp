@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "common/sigbus_guard.h"
 #include "core/package.h"
-#include "core/scan_session.h"
 #include "quant/epoch_guard.h"
 
 namespace radar::serve {
@@ -577,21 +576,22 @@ void ModelHost::quarantine_tenant(Tenant& t) {
   // Full-arena re-verify against the golden copy under one writer
   // section: concurrent injections are excluded while we scan + repair,
   // and the post-repair rescan proves the arena is code-clean before a
-  // readmission deadline is armed.
+  // readmission deadline is armed. The scans inside are the scheme's
+  // unguarded ones: a guarded sweep would retry against this very writer
+  // section and then block in lock_writers.
   quant::QuantizedModel& qm = *t.bundle.qmodel;
   std::size_t repaired = 0, scrubbed = 0;
   bool clean = false;
   {
     quant::EpochGuard::WriterSection ws(*qm.epoch_guard(), 0,
                                         qm.arena().size_bytes());
-    core::ScanSession session(*t.scheme, /*threads=*/1);
-    session.scan_into(qm, t.recover_report);
+    t.recover_report = t.scheme->scan(qm);
     if (t.recover_report.num_flagged_groups() > 0) {
       repaired =
           static_cast<std::size_t>(t.recover_report.num_flagged_groups());
       t.scheme->recover(qm, t.recover_report, opts_.recovery);
       t.groups_recovered.fetch_add(repaired, std::memory_order_relaxed);
-      session.scan_into(qm, t.recover_report);
+      t.recover_report = t.scheme->scan(qm);
     }
     clean = t.recover_report.num_flagged_groups() == 0;
     // Byte-exact scrub against the golden copy: the scheme's codes only

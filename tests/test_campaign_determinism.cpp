@@ -43,9 +43,10 @@ TEST(CampaignDeterminism, OneVsManyThreads) {
   EXPECT_EQ(serial, run_json(spec, 8));
 }
 
-TEST(CampaignDeterminism, ParallelScanSessionMatchesSerialScan) {
-  // Per-trial scans run through ScanSession; a multi-threaded session must
-  // leave the campaign report bit-identical to the serial scan path.
+TEST(CampaignDeterminism, PooledScanMatchesSerialScan) {
+  // Per-trial sweeps drain over a scan pool when scan_threads != 1; the
+  // pooled drain must leave the campaign report bit-identical to the
+  // serial sweep.
   CampaignSpec spec = base_spec();
   spec.attackers[0].flips = 10;
   const std::string serial = run_json(spec, 1, /*scan_threads=*/1);

@@ -4,9 +4,9 @@
 // attack and recovery sequence:
 //   (a) the reference scalar primitives (masked_group_sum / binarize —
 //       the pre-PR ground truth the original kernel was tested against),
-//   (b) the vectorized full scan (LayerScanner row kernel via
-//       ScanSession::scan_into),
-//   (c) the incremental dirty-group scan (ScanSession::scan_dirty_into).
+//   (b) the vectorized full scan (LayerScanner row kernel via a
+//       ScanScheduler sweep),
+//   (c) the incremental dirty-group scan (ScanScheduler::scan_dirty_into).
 // Plus the undo path: undo_dirty() must return the model to its exact
 // prior int8 and float state after arbitrary tracked mutation sequences.
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 #include "common/cpu_features.h"
 #include "common/rng.h"
 #include "core/checksum.h"
-#include "core/scan_session.h"
+#include "core/scan_scheduler.h"
 #include "core/scanner.h"
 #include "core/scheme_registry.h"
 
@@ -161,7 +161,8 @@ TEST_F(IncrementalScanTest, IncrementalMatchesFullUnderAttackAndRecovery) {
       params.skew = rng.uniform_int(0, 5);
       auto scheme = SchemeRegistry::instance().create(id, params);
       scheme->attach(qm_);
-      ScanSession session(*scheme, 1);
+      ScanScheduler sched;
+      sched.plan(*scheme, {});
       qm_.set_dirty_tracking(true);  // clean state = incremental baseline
       DetectionReport full, inc;
       for (int round = 0; round < 6; ++round) {
@@ -177,8 +178,8 @@ TEST_F(IncrementalScanTest, IncrementalMatchesFullUnderAttackAndRecovery) {
         }
         // Three engines on the attacked state.
         const DetectionReport legacy = scheme->scan(qm_);
-        session.scan_into(qm_, full);
-        session.scan_dirty_into(qm_, inc);
+        full = sched.sweep(qm_);
+        sched.scan_dirty_into(qm_, inc);
         ASSERT_EQ(legacy.flagged, full.flagged)
             << id << " legacy-vs-vectorized, round " << round;
         ASSERT_EQ(full.flagged, inc.flagged)
@@ -188,13 +189,13 @@ TEST_F(IncrementalScanTest, IncrementalMatchesFullUnderAttackAndRecovery) {
         // Recovery writes are tracked too; the incremental scan stays
         // valid against the attach-time baseline afterwards.
         scheme->recover(qm_, full, RecoveryPolicy::kZeroOut);
-        session.scan_into(qm_, full);
-        session.scan_dirty_into(qm_, inc);
+        full = sched.sweep(qm_);
+        sched.scan_dirty_into(qm_, inc);
         ASSERT_EQ(full.flagged, inc.flagged)
             << id << " post-recovery, round " << round;
         // Back to clean for the next round, via the write-level undo.
         qm_.undo_dirty();
-        session.scan_dirty_into(qm_, inc);
+        sched.scan_dirty_into(qm_, inc);
         ASSERT_FALSE(inc.attack_detected()) << id << " after undo";
       }
       qm_.set_dirty_tracking(false);
@@ -202,19 +203,30 @@ TEST_F(IncrementalScanTest, IncrementalMatchesFullUnderAttackAndRecovery) {
   }
 }
 
-TEST_F(IncrementalScanTest, ThresholdZeroForcesFullScanPath) {
+TEST_F(IncrementalScanTest, DirtyFractionAboveQuarterTakesFullScanPath) {
   auto scheme = SchemeRegistry::instance().create(
       "radar2", SchemeParams{.group_size = 16});
   scheme->attach(qm_);
-  ScanSession session(*scheme, 1);
-  session.set_full_scan_threshold(0.0);  // every dirty scan degenerates
+  ScanScheduler sched;
+  sched.plan(*scheme, {});
   qm_.set_dirty_tracking(true);
   qm_.flip_bit(0, 5, kMsb);
-  DetectionReport full, inc;
-  session.scan_into(qm_, full);
-  session.scan_dirty_into(qm_, inc);
-  EXPECT_EQ(full.flagged, inc.flagged);
+  DetectionReport inc;
+  sched.scan_dirty_into(qm_, inc);
+  EXPECT_EQ(sched.sweeps(), 0u) << "one dirty group takes the narrow path";
   EXPECT_TRUE(inc.attack_detected());
+  // Dirty every third group of every layer (a third of all groups, past
+  // the quarter threshold): the dirty scan degenerates to a full sweep.
+  for (std::size_t li = 0; li < qm_.num_layers(); ++li) {
+    const GroupLayout& layout = scheme->layout(li);
+    for (std::int64_t i = 0; i < qm_.layer(li).size(); ++i)
+      if (layout.group_of(i) % 3 == 0) qm_.flip_bit(li, i, 0);
+  }
+  sched.scan_dirty_into(qm_, inc);
+  EXPECT_EQ(sched.sweeps(), 1u) << "a third of the groups dirty";
+  EXPECT_EQ(inc.flagged, scheme->scan(qm_).flagged);
+  EXPECT_TRUE(inc.attack_detected());
+  qm_.undo_dirty();
   qm_.set_dirty_tracking(false);
 }
 
@@ -222,10 +234,12 @@ TEST_F(IncrementalScanTest, DirtyScanWithoutTrackingFallsBackToFull) {
   auto scheme = SchemeRegistry::instance().create(
       "radar2", SchemeParams{.group_size = 16});
   scheme->attach(qm_);
-  ScanSession session(*scheme, 1);
+  ScanScheduler sched;
+  sched.plan(*scheme, {});
   qm_.flip_bit(1, 3, kMsb);  // untracked mutation
   DetectionReport inc;
-  session.scan_dirty_into(qm_, inc);  // no log: must rescan everything
+  sched.scan_dirty_into(qm_, inc);  // no log: must rescan everything
+  EXPECT_EQ(sched.sweeps(), 1u);
   EXPECT_TRUE(inc.attack_detected());
   qm_.flip_bit(1, 3, kMsb);
 }

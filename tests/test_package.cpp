@@ -194,6 +194,43 @@ TEST_F(PackageTest, InfoDoesNotNeedModel) {
   EXPECT_EQ(info.total_weights, qm_.total_weights());
 }
 
+/// A scheme whose golden export fails — a save that dies partway through,
+/// after the header and layer table are already written.
+class ExportFailsScheme : public RadarScheme {
+ public:
+  using RadarScheme::RadarScheme;
+  std::vector<std::vector<std::uint8_t>> export_golden() const override {
+    throw SerializationError("simulated crash mid-save");
+  }
+};
+
+TEST_F(PackageTest, InterruptedSaveKeepsThePreviousPackage) {
+  RadarScheme scheme = make_signed_scheme();
+  save_package(path_, qm_, scheme, "good");
+  RadarConfig cfg;
+  cfg.group_size = 32;
+  ExportFailsScheme failing(cfg);
+  failing.attach(qm_);
+  EXPECT_THROW(save_package(path_, qm_, failing, "partial"),
+               SerializationError);
+
+  // The original package is intact and still verifies.
+  EXPECT_EQ(read_package_info(path_).model_name, "good");
+  Rng rng2(5);
+  nn::ResNet other(tiny_spec(), rng2);
+  quant::QuantizedModel qm2(other);
+  std::unique_ptr<IntegrityScheme> loaded;
+  EXPECT_TRUE(load_package(path_, qm2, loaded).verified());
+
+  // The abandoned writer removed its temp file.
+  const std::filesystem::path target(path_);
+  const std::string temp_prefix = target.filename().string() + ".tmp";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path()))
+    EXPECT_NE(entry.path().filename().string().rfind(temp_prefix, 0), 0u)
+        << "leftover temp file " << entry.path();
+}
+
 TEST_F(PackageTest, CorruptFileRejected) {
   EXPECT_THROW(read_package_info("/tmp/no_such_package.rpkg"),
                SerializationError);

@@ -1,28 +1,54 @@
-// ScanScheduler edge cases: the budget semantics and the report-identity
-// contract the serve and campaign layers build on.
+// ScanScheduler, the one whole-model scan engine: the budget semantics
+// and the report-identity contract the package, campaign and serve
+// layers build on.
 //
 //   - zero budget starves (nothing scanned, `starved` reported) — the
 //     signal the serve coverage-age alarm keys off
-//   - unlimited budget completes a sweep in one slice whose report is
-//     byte-identical to ScanSession::scan_into (serial AND pooled)
+//   - an unlimited sweep equals the serial `scheme.scan(qm)` bit for bit
+//     for every scheme, with and without a pool, at any chunk size and
+//     under every supported SIMD level
 //   - a byte budget small enough to split layers resumes mid-layer and
 //     still reproduces the serial report exactly
 //   - dirty groups preempt the sweep (flagged before the cursor would
 //     reach them) without ever polluting the sweep report
+//   - warm serial sweeps and dirty scans allocate nothing
+//   - a parallel drain over an epoch-guarded arena is rejected
 //   - the campaign's kScheduled mode emits default (non-timing) reports
 //     byte-identical to kFull, across worker thread counts
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <utility>
 #include <vector>
 
 #include "campaign/campaign.h"
 #include "common/bits.h"
+#include "common/cpu_features.h"
+#include "common/thread_pool.h"
+#include "core/protected_model.h"
 #include "core/scan_scheduler.h"
-#include "core/scan_session.h"
 #include "core/scheme_registry.h"
 #include "quant/qmodel.h"
+
+// ---- counting global allocator (zero-allocation assertions) ----
+namespace {
+std::atomic<std::size_t> g_alloc_count{0};
+}
+
+void* operator new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  ++g_alloc_count;
+  return p;
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace radar::core {
 namespace {
@@ -79,22 +105,164 @@ TEST_F(ScanSchedulerTest, ZeroBudgetStarvesWithoutScanning) {
   EXPECT_TRUE(slice.flagged);
 }
 
-TEST_F(ScanSchedulerTest, UnlimitedBudgetMatchesScanSessionByteForByte) {
-  flip(0, 3);
-  flip(2, 17);
-  flip(3, 5);
-  ScanScheduler sched;
-  sched.plan(*scheme_, {});  // defaults: unlimited budget
-  const auto slice = sched.run_slice(qm_);
-  EXPECT_TRUE(slice.wrapped);
-  EXPECT_EQ(static_cast<std::size_t>(slice.chunks), sched.num_chunks());
+TEST_F(ScanSchedulerTest, UnlimitedSweepMatchesSerialScanByteForByte) {
+  // Every scheme x {no pool, 2, 4 workers, one chunk per slice} x chunk
+  // sizes from far below a layer (every layer splits) to the default,
+  // under every supported SIMD level, against the scalar serial scan.
+  // Unlimited drains merge runs of chunks into one range-kernel call;
+  // the one-chunk slices run the range kernel on every single chunk.
+  Rng rng(0xBEEF);
+  ThreadPool pool2(2), pool4(4);
+  ThreadPool* const pools[] = {nullptr, &pool2, &pool4};
+  SchemeParams params;
+  params.group_size = 16;
+  for (const auto& id : SchemeRegistry::instance().ids()) {
+    auto scheme = SchemeRegistry::instance().create(id, params);
+    scheme->attach(qm_);
+    const quant::ArenaSnapshot clean = qm_.snapshot();
+    ScanScheduler sched;
+    sched.plan(*scheme, {});
+    EXPECT_FALSE(sched.sweep(qm_, &pool4).attack_detected()) << id;
+    for (int f = 0; f < 12; ++f) {
+      const auto li = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(qm_.num_layers()) - 1));
+      flip(li, rng.uniform_int(0, qm_.layer(li).size() - 1));
+    }
+    DetectionReport want;
+    {
+      cpu::ScopedSimdLevel guard(cpu::SimdLevel::kScalar);
+      want = scheme->scan(qm_);
+    }
+    ASSERT_TRUE(want.attack_detected()) << id;
+    for (const std::int64_t chunk_bytes :
+         {std::int64_t{64}, std::int64_t{1000},
+          ScanScheduler::Config{}.chunk_bytes}) {
+      ScanScheduler::Config cfg;
+      cfg.chunk_bytes = chunk_bytes;
+      sched.plan(*scheme, cfg);
+      if (chunk_bytes == 64 && scheme->supports_range_scan()) {
+        EXPECT_GT(sched.num_chunks(), qm_.num_layers())
+            << id << ": small chunks should split layers";
+      }
+      for (int l = 0; l < cpu::kNumSimdLevels; ++l) {
+        const auto lvl = static_cast<cpu::SimdLevel>(l);
+        if (!cpu::level_supported(lvl)) continue;
+        cpu::ScopedSimdLevel guard(lvl);
+        EXPECT_EQ(scheme->scan(qm_).flagged, want.flagged)
+            << id << " serial scan, level " << cpu::level_name(lvl);
+        for (ThreadPool* pool : pools) {
+          const ScanScheduler::Slice slice = sched.run_slice(qm_, pool);
+          EXPECT_TRUE(slice.wrapped);
+          EXPECT_EQ(static_cast<std::size_t>(slice.chunks),
+                    sched.num_chunks());
+          EXPECT_EQ(sched.last_sweep_report().flagged, want.flagged)
+              << id << " chunk_bytes=" << chunk_bytes << " workers="
+              << (pool == nullptr ? 1 : pool->size()) << " level "
+              << cpu::level_name(lvl);
+        }
+        sched.set_budget(/*budget_us=*/-1, /*budget_bytes=*/1);
+        EXPECT_EQ(sched.sweep(qm_).flagged, want.flagged)
+            << id << " chunk_bytes=" << chunk_bytes
+            << " one chunk per slice, level " << cpu::level_name(lvl);
+        sched.set_budget(-1, -1);
+      }
+    }
+    qm_.restore(clean);
+  }
+}
 
-  DetectionReport serial, pooled;
-  ScanSession(*scheme_, 1).scan_into(qm_, serial);
-  ScanSession(*scheme_, 4).scan_into(qm_, pooled);
-  EXPECT_EQ(sched.last_sweep_report().flagged, serial.flagged);
-  EXPECT_EQ(sched.last_sweep_report().flagged, pooled.flagged);
-  EXPECT_TRUE(sched.last_sweep_report().attack_detected());
+TEST_F(ScanSchedulerTest, RangeScanEqualsTrimmedFullScanPerLayer) {
+  // scan_layer_range_into over arbitrary split points reproduces the
+  // slice of scan_layer_into for every scheme.
+  Rng rng(0x51AB);
+  SchemeParams params;
+  params.group_size = 8;
+  for (const auto& id : SchemeRegistry::instance().ids()) {
+    auto scheme = SchemeRegistry::instance().create(id, params);
+    scheme->attach(qm_);
+    for (int f = 0; f < 10; ++f) {
+      const auto li = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(qm_.num_layers()) - 1));
+      flip(li, rng.uniform_int(0, qm_.layer(li).size() - 1));
+    }
+    ScanScratch scratch;
+    std::vector<std::int64_t> part, whole;
+    for (std::size_t li = 0; li < qm_.num_layers(); ++li) {
+      scheme->scan_layer_into(qm_, li, whole, scratch);
+      const std::int64_t ng = scheme->layout(li).num_groups();
+      // Random split into 3 ranges (possibly empty).
+      const std::int64_t a = rng.uniform_int(0, ng);
+      const std::int64_t b = rng.uniform_int(0, ng);
+      const std::int64_t lo = std::min(a, b), hi = std::max(a, b);
+      std::vector<std::int64_t> merged;
+      for (const auto& [s, e] : {std::pair{std::int64_t{0}, lo},
+                                std::pair{lo, hi}, std::pair{hi, ng}}) {
+        scheme->scan_layer_range_into(qm_, li, s, e, part, scratch);
+        for (const std::int64_t g : part) {
+          EXPECT_GE(g, s);
+          EXPECT_LT(g, e);
+        }
+        merged.insert(merged.end(), part.begin(), part.end());
+      }
+      EXPECT_EQ(merged, whole) << id << " layer " << li;
+    }
+    // Each scheme attaches to the weights as left by the previous one.
+  }
+}
+
+TEST_F(ScanSchedulerTest, SerialScanLoopIsAllocationFreeAtSteadyState) {
+  ScanScheduler sched;
+  sched.plan(*scheme_, {});
+  qm_.set_dirty_tracking(true);
+  DetectionReport inc;
+  flip(1, 3);
+  // Warm-up: scratch and report vectors grow to their high-water mark
+  // (two sweeps, so both the building and the finished report have).
+  sched.sweep(qm_);
+  sched.sweep(qm_);
+  sched.scan_dirty_into(qm_, inc);
+  const std::size_t before = g_alloc_count.load();
+  for (int round = 0; round < 5; ++round) {
+    sched.sweep(qm_);
+    sched.scan_dirty_into(qm_, inc);
+  }
+  EXPECT_EQ(g_alloc_count.load() - before, 0u)
+      << "steady-state scan loop allocated";
+  EXPECT_EQ(sched.last_sweep_report().flagged, inc.flagged);
+  EXPECT_TRUE(inc.attack_detected());
+  qm_.undo_dirty();
+  qm_.set_dirty_tracking(false);
+}
+
+TEST_F(ScanSchedulerTest, UnattachedSchemeRejected) {
+  auto scheme = SchemeRegistry::instance().create("radar2", SchemeParams{});
+  ScanScheduler sched;
+  EXPECT_THROW(sched.plan(*scheme, {}), InvalidArgument);
+}
+
+TEST_F(ScanSchedulerTest, ParallelDrainOverGuardedArenaRejected) {
+  flip(2, 9);
+  qm_.enable_epoch_guard();
+  ThreadPool pool(2);
+  ScanScheduler sched;
+  sched.plan(*scheme_, {});
+  EXPECT_THROW(sched.run_slice(qm_, &pool), InvalidArgument);
+  EXPECT_THROW(sched.sweep(qm_, &pool), InvalidArgument);
+  // The serial, epoch-validated drain still serves the guarded arena.
+  EXPECT_EQ(sched.sweep(qm_).flagged, scheme_->scan(qm_).flagged);
+  EXPECT_EQ(sched.epoch_fallbacks(), 0u);
+}
+
+TEST_F(ScanSchedulerTest, ProtectedModelSweepsOverItsPool) {
+  ProtectedModel pm(qm_, *scheme_);
+  pm.set_scan_threads(4);
+  flip(1, 3);
+  pm.check_and_recover();
+  EXPECT_EQ(pm.detections(), 1);
+  EXPECT_EQ(qm_.get_code(1, 3), 0);
+  // Recovered state was re-signed: the next pooled sweep is clean.
+  pm.check_and_recover();
+  EXPECT_EQ(pm.detections(), 1);
 }
 
 TEST_F(ScanSchedulerTest, MidLayerResumeReproducesSerialReport) {
@@ -114,9 +282,7 @@ TEST_F(ScanSchedulerTest, MidLayerResumeReproducesSerialReport) {
   while (!sched.run_slice(qm_).wrapped) ++slices;
   EXPECT_EQ(slices + 1, sched.num_chunks());
 
-  DetectionReport serial;
-  ScanSession(*scheme_, 1).scan_into(qm_, serial);
-  EXPECT_EQ(sched.last_sweep_report().flagged, serial.flagged);
+  EXPECT_EQ(sched.last_sweep_report().flagged, scheme_->scan(qm_).flagged);
 }
 
 TEST_F(ScanSchedulerTest, DirtyGroupsPreemptTheSweep) {
@@ -148,9 +314,7 @@ TEST_F(ScanSchedulerTest, DirtyGroupsPreemptTheSweep) {
   // accumulated sweep report (it still equals the serial scan).
   while (!sched.run_slice(qm_).wrapped) {
   }
-  DetectionReport serial;
-  ScanSession(*scheme_, 1).scan_into(qm_, serial);
-  EXPECT_EQ(sched.last_sweep_report().flagged, serial.flagged);
+  EXPECT_EQ(sched.last_sweep_report().flagged, scheme_->scan(qm_).flagged);
 }
 
 TEST_F(ScanSchedulerTest, SliceNeverScansPastAWrap) {
