@@ -34,10 +34,16 @@ struct Replica {
   quant::ArenaSnapshot clean;  ///< one-memcpy arena copy of the clean state
 };
 
+/// A replica built for a worker passes the primary's `dataset`, so the
+/// lazily rendered images are rendered once per campaign, not once per
+/// replica.
 Replica make_replica(const CampaignSpec& spec, const EvalOptions& eval,
-                     bool eval_clean = false, bool serial_engine = false) {
+                     bool eval_clean = false, bool serial_engine = false,
+                     std::shared_ptr<const data::SyntheticDataset> dataset =
+                         nullptr) {
   Replica r{exp::make_bundle(spec.model, spec.train, /*eval_clean=*/false),
             {}};
+  if (dataset != nullptr) r.bundle.dataset = std::move(dataset);
   r.bundle.eval_batch = eval.batch;
   r.bundle.engine_kind = eval.engine;
   if (spec.eval_subset > 0) {
@@ -100,7 +106,8 @@ struct EvalContext {
 
 /// Fan fn(replica, context, unit) out over `pool` in contiguous chunks
 /// (inline on `primary` when pool is null). Each chunk gets a fresh
-/// replica + context; the first exception is rethrown on the caller.
+/// replica (reading the primary's dataset) + context; the first exception
+/// is rethrown on the caller.
 /// `images` accumulates how many test images each replica actually
 /// forwarded through the engine (timing telemetry only).
 template <typename Context, typename Fn>
@@ -121,7 +128,7 @@ void for_each_unit(std::size_t n, ThreadPool* pool, Replica& primary,
     try {
       Replica replica =
           make_replica(spec, eval, /*eval_clean=*/false,
-                       /*serial_engine=*/true);
+                       /*serial_engine=*/true, primary.bundle.dataset);
       Context ctx;
       for (std::size_t u = begin; u < end; ++u) fn(replica, ctx, u);
       images += replica.bundle.eval_images;

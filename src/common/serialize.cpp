@@ -1,6 +1,7 @@
 #include "common/serialize.h"
 
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 
@@ -37,6 +38,25 @@ void sync_file(const std::string& path) {
   const int rc = ::fsync(fd);
   ::close(fd);
   if (rc != 0) throw SerializationError("fsync failure: " + path);
+#else
+  (void)path;
+#endif
+}
+
+/// Force the directory entry of a just-renamed file to stable storage, so
+/// the rename itself survives a crash. Filesystems that cannot sync a
+/// directory (EINVAL) are accepted as they are.
+void sync_parent_dir(const std::string& path) {
+#ifdef RADAR_HAVE_FSYNC
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) throw SerializationError("cannot open for sync: " + dir);
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0 && err != EINVAL)
+    throw SerializationError("directory fsync failure: " + dir);
 #else
   (void)path;
 #endif
@@ -128,6 +148,7 @@ void BinaryWriter::close() {
   if (ec)
     throw SerializationError("cannot replace " + path_ + ": " + ec.message());
   closed_ = true;
+  sync_parent_dir(path_);
 }
 
 BinaryReader::BinaryReader(const std::string& path,

@@ -42,8 +42,10 @@ class BinaryWriter {
   void write_u8_vector(const std::vector<std::uint8_t>& v);
   void write_u64_vector(const std::vector<std::uint64_t>& v);
 
-  /// Flushes, fsyncs and closes the temp file, then renames it over the
-  /// target. Throws (leaving the target untouched) on any failure.
+  /// Flushes, fsyncs and closes the temp file, renames it over the
+  /// target, then fsyncs the target's directory so the rename is durable.
+  /// Throws on any failure; a failure before the rename leaves the target
+  /// untouched.
   void close();
 
  private:

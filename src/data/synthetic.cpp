@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <mutex>
 
 #include "common/error.h"
 
@@ -51,24 +52,32 @@ SyntheticDataset::SyntheticDataset(const SyntheticSpec& spec,
                       rng.uniform(0.3, 1.0)});
     blob_.push_back({rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)});
   }
-  Rng train_rng = rng.fork();
-  Rng test_rng = rng.fork();
-  generate_split(n_train, train_rng, train_images_, train_labels_);
-  generate_split(n_test, test_rng, test_images_, test_labels_);
+  // Labels are round-robin and consume no randomness; the pixels of each
+  // split come from its own forked stream (train first, then test).
+  auto init_split = [&](Split& split, std::int64_t count) {
+    split.rng = rng.fork();
+    split.labels.resize(static_cast<std::size_t>(count));
+    for (std::int64_t i = 0; i < count; ++i)
+      split.labels[static_cast<std::size_t>(i)] =
+          static_cast<int>(i % spec.num_classes);
+  };
+  init_split(train_, n_train);
+  init_split(test_, n_test);
 }
 
-void SyntheticDataset::generate_split(std::int64_t count, Rng& rng,
-                                      nn::Tensor& images,
-                                      std::vector<int>& labels) const {
+void SyntheticDataset::render_through(Split& split, std::int64_t end) const {
+  if (end <= split.rendered) return;
   const std::int64_t s = spec_.image_size;
-  images = nn::Tensor({count, spec_.channels, s, s});
-  labels.resize(static_cast<std::size_t>(count));
-  const std::int64_t stride = spec_.channels * s * s;
-  for (std::int64_t i = 0; i < count; ++i) {
-    const int label = static_cast<int>(i % spec_.num_classes);
-    labels[static_cast<std::size_t>(i)] = label;
-    render_sample(label, rng, images.data() + i * stride);
+  if (split.rendered == 0) {
+    split.images = nn::Tensor({static_cast<std::int64_t>(split.labels.size()),
+                               spec_.channels, s, s});
   }
+  const std::int64_t stride = spec_.channels * s * s;
+  for (std::int64_t i = split.rendered; i < end; ++i) {
+    render_sample(split.labels[static_cast<std::size_t>(i)], split.rng,
+                  split.images.data() + i * stride);
+  }
+  split.rendered = end;
 }
 
 void SyntheticDataset::render_sample(int label, Rng& rng, float* out) const {
@@ -109,30 +118,34 @@ Batch SyntheticDataset::train_batch(std::int64_t batch_size, Rng& rng) const {
   const std::int64_t stride = spec_.channels * s * s;
   b.images = nn::Tensor({batch_size, spec_.channels, s, s});
   b.labels.resize(static_cast<std::size_t>(batch_size));
+  std::lock_guard<std::mutex> lock(render_mu_);
+  render_through(train_, train_size());
   for (std::int64_t i = 0; i < batch_size; ++i) {
     const auto idx =
         static_cast<std::int64_t>(rng.uniform_int(0, train_size() - 1));
-    std::copy(train_images_.data() + idx * stride,
-              train_images_.data() + (idx + 1) * stride,
+    std::copy(train_.images.data() + idx * stride,
+              train_.images.data() + (idx + 1) * stride,
               b.images.data() + i * stride);
     b.labels[static_cast<std::size_t>(i)] =
-        train_labels_[static_cast<std::size_t>(idx)];
+        train_.labels[static_cast<std::size_t>(idx)];
   }
   return b;
 }
 
 Batch SyntheticDataset::test_batch(std::int64_t start,
                                    std::int64_t count) const {
-  RADAR_REQUIRE(start >= 0 && start + count <= test_size(),
+  RADAR_REQUIRE(start >= 0 && count >= 0 && start + count <= test_size(),
                 "test batch out of range");
   Batch b;
   const std::int64_t s = spec_.image_size;
   const std::int64_t stride = spec_.channels * s * s;
   b.images = nn::Tensor({count, spec_.channels, s, s});
-  b.labels.assign(test_labels_.begin() + start,
-                  test_labels_.begin() + start + count);
-  std::copy(test_images_.data() + start * stride,
-            test_images_.data() + (start + count) * stride,
+  b.labels.assign(test_.labels.begin() + start,
+                  test_.labels.begin() + start + count);
+  std::lock_guard<std::mutex> lock(render_mu_);
+  render_through(test_, start + count);
+  std::copy(test_.images.data() + start * stride,
+            test_.images.data() + (start + count) * stride,
             b.images.data());
   return b;
 }

@@ -99,7 +99,7 @@ ModelBundle make_bundle(const std::string& id, bool train, bool eval_clean) {
   b.spec = recipe.spec;
   Rng init_rng(recipe.train.seed);
   b.model = std::make_unique<nn::ResNet>(recipe.spec, init_rng);
-  b.dataset = std::make_unique<data::SyntheticDataset>(
+  b.dataset = std::make_shared<const data::SyntheticDataset>(
       recipe.data_spec, recipe.n_train, recipe.n_test);
 
   if (train) {

@@ -26,7 +26,11 @@ struct ModelBundle {
   std::string id;  ///< "resnet20" | "resnet18"
   nn::ResNetSpec spec;
   std::unique_ptr<nn::ResNet> model;
-  std::unique_ptr<data::SyntheticDataset> dataset;
+  /// Rendered lazily (data::SyntheticDataset): a bundle that never reads
+  /// it pays nothing for its pixels, and one that reads only the first
+  /// test images (engine calibration) renders only those. Shared and
+  /// immutable, so campaign worker replicas read the primary's copy.
+  std::shared_ptr<const data::SyntheticDataset> dataset;
   std::unique_ptr<quant::QuantizedModel> qmodel;
   double clean_accuracy = 0.0;  ///< quantized model, full test split
 
@@ -76,7 +80,9 @@ ModelBundle load_or_train(const std::string& id);
 /// weights and never touches the checkpoint cache, so results are
 /// reproducible regardless of cache state (campaign differential / fuzz
 /// tests). `eval_clean = false` skips the clean-accuracy evaluation
-/// (clean_accuracy stays -1), for detection-only workloads.
+/// (clean_accuracy stays -1), for detection-only workloads. The dataset
+/// renders no pixels until first read, so an untrained bundle built
+/// without eval_clean costs only the model init and quantization.
 ModelBundle make_bundle(const std::string& id, bool train = true,
                         bool eval_clean = true);
 
