@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace radar {
 
@@ -29,6 +30,20 @@ class SerializationError : public Error {
  public:
   explicit SerializationError(const std::string& what) : Error(what) {}
 };
+
+/// True for a non-empty name made only of [A-Za-z0-9._-]: safe to write
+/// unescaped into JSON, log lines and the daemon's space-separated
+/// protocol. Tenant and chaos point names must be plain.
+inline bool is_plain_name(std::string_view s) {
+  if (s.empty()) return false;
+  for (const char c : s) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '.' || c == '_' ||
+                    c == '-';
+    if (!ok) return false;
+  }
+  return true;
+}
 
 namespace detail {
 [[noreturn]] inline void throw_check_failure(const char* kind, const char* expr,

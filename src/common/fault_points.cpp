@@ -34,7 +34,8 @@ FaultRegistry& FaultRegistry::instance() {
 }
 
 void FaultRegistry::arm(const std::string& point, const FaultSpec& spec) {
-  RADAR_REQUIRE(!point.empty(), "chaos: fault point needs a name");
+  RADAR_REQUIRE(is_plain_name(point),
+                "chaos: point name must match [A-Za-z0-9._-]+: " + point);
   RADAR_REQUIRE(spec.prob >= 0.0 && spec.prob <= 1.0,
                 "chaos: prob must be in [0,1] for point " + point);
   std::unique_lock lock(mu_);

@@ -74,7 +74,7 @@ class FaultRegistry {
   static FaultRegistry& instance();
 
   /// Arm (or re-arm, resetting counters) one point. Throws on prob
-  /// outside [0,1].
+  /// outside [0,1] or a name that is not plain (see is_plain_name).
   void arm(const std::string& point, const FaultSpec& spec);
   /// Disarm one point; false when it was not armed.
   bool disarm(const std::string& point);

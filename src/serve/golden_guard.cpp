@@ -2,33 +2,24 @@
 
 #include <algorithm>
 
-#include "codes/crc.h"
 #include "common/error.h"
 #include "common/fault_points.h"
 #include "common/sigbus_guard.h"
 
 namespace radar::serve {
 
-namespace {
-
-std::uint32_t range_crc(std::span<const std::int8_t> bytes) {
-  codes::Crc crc(codes::CrcSpec::crc32());
-  return crc.compute_i8(bytes);
-}
-
-}  // namespace
-
 void GoldenGuard::build(std::span<const std::int8_t> golden,
                         std::int64_t range_bytes) {
   RADAR_REQUIRE(range_bytes > 0, "GoldenGuard range_bytes must be > 0");
   range_bytes_ = range_bytes;
   total_bytes_ = static_cast<std::int64_t>(golden.size());
+  crc_.emplace(codes::CrcSpec::crc32());
   crcs_.clear();
   for (std::int64_t b = 0; b < total_bytes_; b += range_bytes_) {
     const auto len = static_cast<std::size_t>(
         std::min(range_bytes_, total_bytes_ - b));
     crcs_.push_back(
-        range_crc(golden.subspan(static_cast<std::size_t>(b), len)));
+        crc_->compute_i8(golden.subspan(static_cast<std::size_t>(b), len)));
   }
 }
 
@@ -59,7 +50,7 @@ bool GoldenGuard::verify_range(std::span<const std::int8_t> bytes,
     // whole daemon dying on one bad file.
     std::uint32_t crc = 0;
     const bool readable = with_sigbus_guard([&] {
-      crc = range_crc(bytes.subspan(static_cast<std::size_t>(b), len));
+      crc = crc_->compute_i8(bytes.subspan(static_cast<std::size_t>(b), len));
     });
     if (!readable || crc != crcs_[r]) {
       mismatches_.fetch_add(1, std::memory_order_relaxed);

@@ -18,8 +18,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
+
+#include "codes/crc.h"
 
 namespace radar::serve {
 
@@ -56,6 +59,10 @@ class GoldenGuard {
  private:
   std::int64_t range_bytes_ = 0;
   std::int64_t total_bytes_ = 0;
+  /// CRC-32 engine, built once by build(): verify_range() computes under
+  /// the SIGBUS guard, whose siglongjmp would skip the destructor (and
+  /// leak the tables) of an engine constructed there.
+  std::optional<codes::Crc> crc_;
   std::vector<std::uint32_t> crcs_;
   std::atomic<std::uint64_t> verified_{0};
   std::atomic<std::uint64_t> mismatches_{0};

@@ -41,7 +41,8 @@ ModelHost::~ModelHost() { stop(); }
 
 std::size_t ModelHost::add_tenant(const TenantConfig& cfg) {
   RADAR_REQUIRE(!running_, "add_tenant while serving");
-  RADAR_REQUIRE(!cfg.name.empty(), "tenant needs a name");
+  RADAR_REQUIRE(is_plain_name(cfg.name),
+                "tenant name must match [A-Za-z0-9._-]+: " + cfg.name);
   RADAR_REQUIRE(find_tenant(cfg.name) == npos,
                 "duplicate tenant name: " + cfg.name);
 
@@ -167,8 +168,9 @@ void ModelHost::stop() {
   RADAR_LOG(kInfo) << "serve: stopped";
 }
 
-InferenceResult ModelHost::infer(std::size_t tenant, const nn::Tensor& input,
-                                 std::int64_t deadline_ms) {
+ModelHost::Request ModelHost::make_request(std::size_t tenant,
+                                           const nn::Tensor& input,
+                                           std::int64_t deadline_ms) const {
   RADAR_REQUIRE(running_, "infer on a stopped host");
   RADAR_REQUIRE(tenant < tenants_.size(), "unknown tenant index");
   if (deadline_ms <= 0) deadline_ms = opts_.default_deadline_ms;
@@ -180,6 +182,12 @@ InferenceResult ModelHost::infer(std::size_t tenant, const nn::Tensor& input,
     req.deadline = req.t_submit + std::chrono::milliseconds(deadline_ms);
     req.has_deadline = true;
   }
+  return req;
+}
+
+InferenceResult ModelHost::infer(std::size_t tenant, const nn::Tensor& input,
+                                 std::int64_t deadline_ms) {
+  Request req = make_request(tenant, input, deadline_ms);
   // A producer-side wedge (slow disk on the request path, a debugger,
   // scheduler trouble) — the deadline bounds its blast radius.
   if (chaos::fire(chaos::points::kQueueStall))
@@ -209,17 +217,7 @@ InferenceResult ModelHost::infer(std::size_t tenant, const nn::Tensor& input,
 bool ModelHost::try_infer_async(std::size_t tenant, const nn::Tensor& input,
                                 std::future<InferenceResult>& out,
                                 std::int64_t deadline_ms) {
-  RADAR_REQUIRE(running_, "infer on a stopped host");
-  RADAR_REQUIRE(tenant < tenants_.size(), "unknown tenant index");
-  if (deadline_ms <= 0) deadline_ms = opts_.default_deadline_ms;
-  Request req;
-  req.tenant = tenant;
-  req.input = &input;
-  req.t_submit = std::chrono::steady_clock::now();
-  if (deadline_ms > 0) {
-    req.deadline = req.t_submit + std::chrono::milliseconds(deadline_ms);
-    req.has_deadline = true;
-  }
+  Request req = make_request(tenant, input, deadline_ms);
   out = req.promise.get_future();
   return queue_->try_push(std::move(req));
 }
@@ -383,26 +381,21 @@ void ModelHost::watchdog_loop() {
 core::ScanScheduler::Slice ModelHost::scan_step(Tenant& t) {
   quant::QuantizedModel& qm = *t.bundle.qmodel;
   const core::ScanScheduler::Slice slice = t.scheduler.run_slice(qm);
-  t.scan_active_ns += slice.elapsed_ns;
 
   // Publish the scheduler's private counters for stats().
-  t.shards_scanned.store(t.scheduler.chunks_scanned(),
-                         std::memory_order_relaxed);
-  t.sweeps.store(t.scheduler.sweeps(), std::memory_order_relaxed);
-  t.epoch_retries.store(t.scheduler.epoch_retries(),
-                        std::memory_order_relaxed);
-  t.epoch_fallbacks.store(t.scheduler.epoch_fallbacks(),
-                          std::memory_order_relaxed);
-  t.scan_bytes.store(t.scheduler.bytes_scanned(),
-                     std::memory_order_relaxed);
-  t.scan_ns.store(t.scan_active_ns, std::memory_order_relaxed);
-  t.scan_cursor.store(t.scheduler.cursor(), std::memory_order_relaxed);
-  t.dirty_pending.store(t.scheduler.dirty_pending(),
-                        std::memory_order_relaxed);
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  t.shards_scanned.store(t.scheduler.chunks_scanned(), kRelaxed);
+  t.sweeps.store(t.scheduler.sweeps(), kRelaxed);
+  t.epoch_retries.store(t.scheduler.epoch_retries(), kRelaxed);
+  t.epoch_fallbacks.store(t.scheduler.epoch_fallbacks(), kRelaxed);
+  t.scan_bytes.store(t.scheduler.bytes_scanned(), kRelaxed);
+  t.scan_ns.fetch_add(slice.elapsed_ns, kRelaxed);
+  t.scan_cursor.store(t.scheduler.cursor(), kRelaxed);
+  t.dirty_pending.store(t.scheduler.dirty_pending(), kRelaxed);
   if (slice.wrapped) {
-    t.sweep_end_ns.store(now_ns(), std::memory_order_relaxed);
-    t.sweep_ms.store(t.scheduler.last_sweep_ns() / 1000000,
-                     std::memory_order_relaxed);
+    t.sweep_end_ns.store(now_ns(), kRelaxed);
+    t.coverage_period_ms.store(t.scheduler.last_sweep_ns() / 1000000,
+                               kRelaxed);
     t.coverage_alarm_armed = false;  // deadline met: re-arm the alarm
   }
 
@@ -833,14 +826,7 @@ HostStats ModelHost::stats() const {
     TenantStats s;
     s.name = t.cfg.name;
     s.golden_mmapped = t.golden_mmapped;
-    s.requests = t.requests.load(std::memory_order_relaxed);
-    s.errors = t.errors.load(std::memory_order_relaxed);
     for (const auto& w : workers_) s.latency.merge(w->hist[ti].snapshot());
-    s.shards_scanned = t.shards_scanned.load(std::memory_order_relaxed);
-    s.sweeps = t.sweeps.load(std::memory_order_relaxed);
-    s.epoch_retries = t.epoch_retries.load(std::memory_order_relaxed);
-    s.epoch_fallbacks = t.epoch_fallbacks.load(std::memory_order_relaxed);
-    s.coverage_period_ms = t.sweep_ms.load(std::memory_order_relaxed);
     const std::int64_t sweep_end =
         t.sweep_end_ns.load(std::memory_order_relaxed);
     s.coverage_age_ms =
@@ -850,30 +836,12 @@ HostStats ModelHost::stats() const {
         t.scan_bytes.load(std::memory_order_relaxed);
     s.scan_bytes_per_sec =
         scan_ns > 0 ? scan_bytes * 1000000000 / scan_ns : 0;
-    s.coverage_alarms = t.coverage_alarms.load(std::memory_order_relaxed);
-    s.scan_cursor = t.scan_cursor.load(std::memory_order_relaxed);
-    s.dirty_pending = t.dirty_pending.load(std::memory_order_relaxed);
     const quant::EpochGuard* g = t.bundle.qmodel->epoch_guard();
     s.writer_sections = g ? g->writer_sections() : 0;
-    // Acquire pairs with the release increment in scan_step(): a
-    // nonzero detection count implies the matching recovery counters
-    // below are already visible.
-    s.detections = t.detections.load(std::memory_order_acquire);
-    s.groups_recovered =
-        t.groups_recovered.load(std::memory_order_relaxed);
-    s.faults_injected = t.faults_injected.load(std::memory_order_relaxed);
-    s.last_ttd_ns = t.last_ttd_ns.load(std::memory_order_relaxed);
-    s.quarantined = t.quarantined.load(std::memory_order_relaxed);
-    s.quarantines = t.quarantines.load(std::memory_order_relaxed);
-    s.readmits = t.readmits.load(std::memory_order_relaxed);
-    s.shed_quarantined =
-        t.shed_quarantined.load(std::memory_order_relaxed);
-    s.bytes_scrubbed = t.bytes_scrubbed.load(std::memory_order_relaxed);
-    s.deadline_expired = t.deadline_expired.load(std::memory_order_relaxed);
-    s.recover_failures = t.recover_failures.load(std::memory_order_relaxed);
-    s.degraded = t.degraded.load(std::memory_order_relaxed);
-    s.degrades = t.degrades.load(std::memory_order_relaxed);
-    s.heals = t.heals.load(std::memory_order_relaxed);
+    // Acquire, in list order: see RADAR_TENANT_STATS.
+#define X(type, field, init) s.field = t.field.load(std::memory_order_acquire);
+    RADAR_TENANT_STATS(X)
+#undef X
     out.tenants.push_back(std::move(s));
   }
   return out;
@@ -890,7 +858,7 @@ void ModelHost::reset_latency_stats() {
 
 std::string HostStats::to_json() const {
   std::ostringstream os;
-  os << "{\"scanning\":" << (scanning ? "true" : "false")
+  os << std::boolalpha << "{\"scanning\":" << scanning
      << ",\"queue_rejected\":" << queue_rejected
      << ",\"queue_timeouts\":" << queue_timeouts
      << ",\"scanner_restarts\":" << scanner_restarts
@@ -900,38 +868,21 @@ std::string HostStats::to_json() const {
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     const TenantStats& t = tenants[i];
     if (i) os << ",";
+    // Names are plain ([A-Za-z0-9._-]+, enforced by add_tenant): no
+    // escaping needed.
     os << "{\"name\":\"" << t.name << "\""
-       << ",\"golden_mmapped\":" << (t.golden_mmapped ? "true" : "false")
-       << ",\"requests\":" << t.requests << ",\"errors\":" << t.errors
+       << ",\"golden_mmapped\":" << t.golden_mmapped
        << ",\"p50_ns\":" << t.latency.quantile(0.50)
        << ",\"p99_ns\":" << t.latency.quantile(0.99)
        << ",\"p999_ns\":" << t.latency.quantile(0.999)
        << ",\"max_ns\":" << t.latency.max
-       << ",\"shards_scanned\":" << t.shards_scanned
-       << ",\"sweeps\":" << t.sweeps
-       << ",\"coverage_period_ms\":" << t.coverage_period_ms
        << ",\"coverage_age_ms\":" << t.coverage_age_ms
        << ",\"scan_bytes_per_sec\":" << t.scan_bytes_per_sec
-       << ",\"coverage_alarms\":" << t.coverage_alarms
-       << ",\"scan_cursor\":" << t.scan_cursor
-       << ",\"dirty_pending\":" << t.dirty_pending
-       << ",\"epoch_retries\":" << t.epoch_retries
-       << ",\"epoch_fallbacks\":" << t.epoch_fallbacks
-       << ",\"writer_sections\":" << t.writer_sections
-       << ",\"detections\":" << t.detections
-       << ",\"groups_recovered\":" << t.groups_recovered
-       << ",\"faults_injected\":" << t.faults_injected
-       << ",\"last_ttd_ns\":" << t.last_ttd_ns
-       << ",\"quarantined\":" << (t.quarantined ? "true" : "false")
-       << ",\"quarantines\":" << t.quarantines
-       << ",\"readmits\":" << t.readmits
-       << ",\"shed_quarantined\":" << t.shed_quarantined
-       << ",\"bytes_scrubbed\":" << t.bytes_scrubbed
-       << ",\"deadline_expired\":" << t.deadline_expired
-       << ",\"recover_failures\":" << t.recover_failures
-       << ",\"degraded\":" << (t.degraded ? "true" : "false")
-       << ",\"degrades\":" << t.degrades << ",\"heals\":" << t.heals
-       << "}";
+       << ",\"writer_sections\":" << t.writer_sections;
+#define X(type, field, init) os << ",\"" #field "\":" << t.field;
+    RADAR_TENANT_STATS(X)
+#undef X
+    os << "}";
   }
   os << "]}";
   return os.str();

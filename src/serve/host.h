@@ -28,6 +28,8 @@
 // attack visibility); integrity verdicts are protected by the epoch
 // protocol, inference outputs during an active attack are garbage by
 // definition until recovery lands.
+//
+// A stored per-tenant stat is declared in one place: RADAR_TENANT_STATS.
 #pragma once
 
 #include <atomic>
@@ -122,41 +124,50 @@ struct InferenceResult {
   std::int64_t retry_after_ms = -1;
 };
 
+/// Every per-tenant value the host stores in an atomic, declared once as
+/// X(type, name, initial). The list expands into the TenantStats fields,
+/// the Tenant atomics, the loads in ModelHost::stats() and the keys of
+/// HostStats::to_json(), so a new stat is one line here plus the sites
+/// that update it. stats() loads in list order with acquire: scan_step
+/// publishes `detections` last, with release, so it must stay listed
+/// before `groups_recovered` and `last_ttd_ns`.
+#define RADAR_TENANT_STATS(X)                                               \
+  X(std::uint64_t, requests, 0)                                             \
+  X(std::uint64_t, errors, 0)                                               \
+  X(std::uint64_t, shards_scanned, 0)                                       \
+  X(std::uint64_t, sweeps, 0)                                               \
+  X(std::int64_t, coverage_period_ms, -1) /* last sweep (-1: none) */       \
+  X(std::uint64_t, coverage_alarms, 0)    /* coverage deadline misses */    \
+  X(std::uint64_t, scan_cursor, 0)        /* survives scanner respawns */   \
+  X(std::uint64_t, dirty_pending, 0)      /* queued priority rescans */     \
+  X(std::uint64_t, epoch_retries, 0)                                        \
+  X(std::uint64_t, epoch_fallbacks, 0)                                      \
+  X(std::uint64_t, detections, 0)         /* flagged-slice events */        \
+  X(std::uint64_t, groups_recovered, 0)   /* repaired by the scanner */     \
+  X(std::uint64_t, faults_injected, 0)                                      \
+  X(std::int64_t, last_ttd_ns, -1)        /* inject -> detect (-1: none) */ \
+  X(bool, quarantined, false)             /* shedding requests now */       \
+  X(std::uint64_t, quarantines, 0)                                          \
+  X(std::uint64_t, readmits, 0)                                             \
+  X(std::uint64_t, shed_quarantined, 0)   /* requests shed meanwhile */     \
+  X(std::uint64_t, bytes_scrubbed, 0)     /* golden scrub rewrites */       \
+  X(std::uint64_t, deadline_expired, 0)   /* dropped past deadline */       \
+  X(std::uint64_t, recover_failures, 0)   /* recoveries that threw */       \
+  X(bool, degraded, false)                /* recovering from snapshot */    \
+  X(std::uint64_t, degrades, 0)           /* golden mapping demotions */    \
+  X(std::uint64_t, heals, 0)              /* re-opens that restored it */
+
 /// Point-in-time view of one tenant (see ModelHost::stats).
 struct TenantStats {
   std::string name;
   bool golden_mmapped = false;
-  std::uint64_t requests = 0, errors = 0;
   LatencyHistogram::Snapshot latency;
-  std::uint64_t shards_scanned = 0, sweeps = 0;
-  std::uint64_t epoch_retries = 0, epoch_fallbacks = 0;
-  // Scan QoS telemetry (see ServeOptions::scan_budget_*).
-  std::int64_t coverage_period_ms = -1;  ///< last sweep duration (-1: none)
-  std::int64_t coverage_age_ms = 0;   ///< time since last completed sweep
+  std::int64_t coverage_age_ms = 0;     ///< time since last completed sweep
   std::int64_t scan_bytes_per_sec = 0;  ///< bytes swept / scan-active time
-  std::uint64_t coverage_alarms = 0;  ///< coverage deadline misses
-  std::uint64_t scan_cursor = 0;  ///< sweep position (survives respawns)
-  std::uint64_t dirty_pending = 0;  ///< queued priority rescans
   std::uint64_t writer_sections = 0;
-  std::uint64_t detections = 0;        ///< flagged-shard events
-  std::uint64_t groups_recovered = 0;  ///< groups repaired by the scanner
-  std::uint64_t faults_injected = 0;
-  std::int64_t last_ttd_ns = -1;  ///< inject -> first detection (-1: none)
-  bool quarantined = false;       ///< currently shedding requests
-  std::uint64_t quarantines = 0;  ///< times the tenant was quarantined
-  std::uint64_t readmits = 0;     ///< times it was readmitted
-  std::uint64_t shed_quarantined = 0;  ///< requests shed while quarantined
-  /// Weight bytes rewritten by the quarantine's byte-exact golden scrub
-  /// (corruption the scheme's codes could not see).
-  std::uint64_t bytes_scrubbed = 0;
-  std::uint64_t deadline_expired = 0;  ///< requests dropped past deadline
-  std::uint64_t recover_failures = 0;  ///< recovery attempts that threw
-  /// Degraded-golden state: the mmap'd golden copy failed its CRC
-  /// sidecar; recovery is running from the in-memory snapshot until a
-  /// package re-open verifies end-to-end.
-  bool degraded = false;
-  std::uint64_t degrades = 0;  ///< times the golden copy was demoted
-  std::uint64_t heals = 0;     ///< times a re-open restored the mapping
+#define X(type, field, init) type field = init;
+  RADAR_TENANT_STATS(X)
+#undef X
 };
 
 struct HostStats {
@@ -261,14 +272,12 @@ class ModelHost {
     // where the stalled thread left it (cursor, dirty queue and all).
     core::ScanScheduler scheduler;
     core::DetectionReport recover_report;
-    std::int64_t scan_active_ns = 0;  ///< cumulative slice time
     bool coverage_alarm_armed = false;  ///< one alarm per missed period
 
-    // Quarantine bookkeeping. `quarantined` gates the workers (which
-    // also read `readmit_at_ns` for the RETRY-AFTER hint); the rest is
-    // scanner-thread private (window of recent detection timestamps and
-    // the current backoff).
-    std::atomic<bool> quarantined{false};
+    // Quarantine bookkeeping. The `quarantined` stat gates the workers
+    // (which also read `readmit_at_ns` for the RETRY-AFTER hint); the
+    // rest is scanner-thread private (window of recent detection
+    // timestamps and the current backoff).
     std::vector<std::int64_t> detect_window_ns;
     std::atomic<std::int64_t> readmit_at_ns{0};
     std::int64_t backoff_ms = 0;
@@ -278,33 +287,20 @@ class ModelHost {
     // the verified mmap'd golden at load; `fallback_snapshot` is the
     // in-memory clean copy recovery switches to when the mapping fails
     // verification. `reopen_*` (scanner-thread private) pace the heal
-    // attempts; `degraded` is read by stats() from any thread.
+    // attempts; the `degraded` stat says which source is live.
     GoldenGuard golden_guard;
     std::shared_ptr<quant::ArenaSnapshot> fallback_snapshot;
-    std::atomic<bool> degraded{false};
     std::int64_t reopen_at_ns = 0;
     std::int64_t reopen_backoff_ms = 0;
 
-    // Cross-thread stats.
-    std::atomic<std::uint64_t> requests{0}, errors{0};
-    std::atomic<std::uint64_t> detections{0}, groups_recovered{0};
-    std::atomic<std::uint64_t> faults_injected{0};
-    std::atomic<std::uint64_t> quarantines{0}, readmits{0};
-    std::atomic<std::uint64_t> shed_quarantined{0};
-    std::atomic<std::uint64_t> bytes_scrubbed{0};
-    std::atomic<std::uint64_t> deadline_expired{0};
-    std::atomic<std::uint64_t> recover_failures{0};
-    std::atomic<std::uint64_t> degrades{0}, heals{0};
+    // Cross-thread stats: one atomic per RADAR_TENANT_STATS entry.
+#define X(type, field, init) std::atomic<type> field{init};
+    RADAR_TENANT_STATS(X)
+#undef X
     std::atomic<std::int64_t> pending_inject_ns{-1};  ///< steady ns
-    std::atomic<std::int64_t> last_ttd_ns{-1};
-    // Published copies of the scanner's private counters.
-    std::atomic<std::uint64_t> shards_scanned{0}, sweeps{0};
-    std::atomic<std::uint64_t> epoch_retries{0}, epoch_fallbacks{0};
-    std::atomic<std::uint64_t> coverage_alarms{0};
-    std::atomic<std::uint64_t> scan_cursor{0}, dirty_pending{0};
+    // Inputs of scan_bytes_per_sec and coverage_age_ms (computed on read).
     std::atomic<std::int64_t> scan_bytes{0}, scan_ns{0};
     std::atomic<std::int64_t> sweep_end_ns{-1};  ///< last wrap (steady ns)
-    std::atomic<std::int64_t> sweep_ms{-1};      ///< last sweep duration
   };
 
   struct Worker {
@@ -339,6 +335,10 @@ class ModelHost {
         .count();
   }
 
+  /// A request for `tenant` stamped now, its deadline resolved as in
+  /// infer(); throws unless the host is running and the tenant exists.
+  Request make_request(std::size_t tenant, const nn::Tensor& input,
+                       std::int64_t deadline_ms) const;
   void worker_loop(std::size_t wi);
   void scanner_loop();
   void watchdog_loop();

@@ -152,6 +152,12 @@ TEST_F(FaultPointsTest, ArmRejectsBadProbAndEmptyName) {
   EXPECT_THROW(reg.arm("p", FaultSpec{.prob = -0.1}), radar::Error);
   EXPECT_THROW(reg.arm("p", FaultSpec{.prob = 1.1}), radar::Error);
   EXPECT_THROW(reg.arm("", FaultSpec{}), radar::Error);
+  // CHAOS STATS writes point names into JSON unescaped.
+  for (const char* bad : {"a\"b", "a b", "a\\b", "a:b", "a,b"})
+    EXPECT_THROW(reg.arm(bad, FaultSpec{}), radar::InvalidArgument) << bad;
+  EXPECT_EQ(reg.armed(), 0u);
+  reg.arm("golden.torn_read-2_X", FaultSpec{});
+  EXPECT_EQ(reg.armed(), 1u);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include <filesystem>
 #include <functional>
 #include <future>
+#include <regex>
+#include <set>
 #include <thread>
 
 #include "common/fault_points.h"
@@ -298,6 +300,97 @@ TEST_F(ServeHostTest, ServesTwoTenantsConcurrently) {
   // The background scanner made progress while traffic flowed.
   EXPECT_GT(stats.tenants[0].shards_scanned + stats.tenants[1].shards_scanned,
             0u);
+}
+
+// Every key of STATS, split into the host object's keys (before
+// "tenants") and each tenant object's keys, in order of appearance.
+struct StatsKeys {
+  std::vector<std::string> host;
+  std::vector<std::vector<std::string>> tenants;
+};
+
+StatsKeys stats_keys(const std::string& json) {
+  StatsKeys out;
+  const std::size_t list = json.find("\"tenants\":[");
+  EXPECT_NE(list, std::string::npos) << json;
+  const std::regex key("\"([A-Za-z0-9_]+)\":");
+  const auto keys_of = [&](std::size_t b, std::size_t e) {
+    std::vector<std::string> keys;
+    const std::string part = json.substr(b, e - b);
+    for (std::sregex_iterator it(part.begin(), part.end(), key), end;
+         it != end; ++it)
+      keys.push_back((*it)[1]);
+    return keys;
+  };
+  out.host = keys_of(0, list);
+  for (std::size_t b = json.find('{', list); b != std::string::npos;
+       b = json.find('{', b + 1))
+    out.tenants.push_back(keys_of(b, json.find('}', b)));
+  return out;
+}
+
+TEST_F(ServeHostTest, StatsJsonSchemaIsPinned) {
+  // The STATS contract CI smokes and operators read: the key set and
+  // the true/false rendering of the flags, whatever order they come in.
+  ModelHost host;
+  add_two_tenants(host);
+  const std::string json = host.stats().to_json();
+  const StatsKeys keys = stats_keys(json);
+
+  const std::set<std::string> host_keys = {
+      "scanning", "queue_rejected", "queue_timeouts", "scanner_restarts",
+      "scanner_crashes", "worker_flags", "workers_wedged"};
+  EXPECT_EQ(keys.host.size(), host_keys.size()) << json;
+  EXPECT_EQ(std::set<std::string>(keys.host.begin(), keys.host.end()),
+            host_keys)
+      << json;
+
+  const std::set<std::string> tenant_keys = {
+      "name", "golden_mmapped", "requests", "errors", "p50_ns", "p99_ns",
+      "p999_ns", "max_ns", "shards_scanned", "sweeps", "coverage_period_ms",
+      "coverage_age_ms", "scan_bytes_per_sec", "coverage_alarms",
+      "scan_cursor", "dirty_pending", "epoch_retries", "epoch_fallbacks",
+      "writer_sections", "detections", "groups_recovered", "faults_injected",
+      "last_ttd_ns", "quarantined", "quarantines", "readmits",
+      "shed_quarantined", "bytes_scrubbed", "deadline_expired",
+      "recover_failures", "degraded", "degrades", "heals"};
+  ASSERT_EQ(tenant_keys.size(), 33u);
+  ASSERT_EQ(keys.tenants.size(), 2u) << json;
+  for (const auto& t : keys.tenants) {
+    EXPECT_EQ(t.size(), tenant_keys.size()) << "duplicate key? " << json;
+    EXPECT_EQ(std::set<std::string>(t.begin(), t.end()), tenant_keys)
+        << json;
+  }
+
+  // Flags render as JSON booleans, once per tenant.
+  for (const char* flag : {"quarantined", "degraded", "golden_mmapped"}) {
+    const std::regex boolean("\"" + std::string(flag) +
+                             "\":(true|false)[,}]");
+    EXPECT_EQ(std::distance(
+                  std::sregex_iterator(json.begin(), json.end(), boolean),
+                  std::sregex_iterator()),
+              2)
+        << flag << " in " << json;
+  }
+  EXPECT_NE(json.find("\"scanning\":true"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"degraded\":false"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"last_ttd_ns\":-1"), std::string::npos) << json;
+}
+
+TEST_F(ServeHostTest, RejectsTenantNamesThatNeedEscaping) {
+  // STATS writes tenant names into JSON unescaped.
+  ModelHost host;
+  for (const char* bad : {"a\"b", "a b", "a\\b", "a{b", ""}) {
+    TenantConfig cfg;
+    cfg.name = bad;
+    cfg.package_path = *pkg_a_;
+    EXPECT_THROW(host.add_tenant(cfg), InvalidArgument) << bad;
+  }
+  EXPECT_EQ(host.num_tenants(), 0u);
+  TenantConfig ok;
+  ok.name = "Tenant_1.v-2";
+  ok.package_path = *pkg_a_;
+  EXPECT_EQ(host.add_tenant(ok), 0u);
 }
 
 TEST_F(ServeHostTest, InjectedFaultsDetectedAndRecoveredUnderTraffic) {
@@ -854,6 +947,9 @@ TEST_F(ChaosServeTest, DaemonChaosCommand) {
             0u);
   EXPECT_EQ(daemon.handle_line("CHAOS ARM p 2.0 1").rfind("ERR", 0), 0u)
       << "prob out of range must be rejected";
+  // CHAOS STATS writes point names unescaped: a quote would break it.
+  EXPECT_EQ(daemon.handle_line("CHAOS ARM a\"b 0.5 1").rfind("ERR", 0), 0u);
+  EXPECT_EQ(daemon.handle_line("CHAOS STATS"), "OK {\"points\":[]}");
 
   daemon.stop();
   host.stop();
