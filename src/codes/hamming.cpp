@@ -5,22 +5,6 @@
 
 namespace radar::codes {
 
-namespace {
-/// Position of data bit i in the (1-based) Hamming codeword, skipping
-/// power-of-two parity positions.
-std::int64_t codeword_position(std::int64_t data_index) {
-  // Walk positions 1,2,3,... skipping powers of two; the (data_index+1)-th
-  // non-power-of-two position is the answer. Closed form iteration.
-  std::int64_t pos = 0;
-  std::int64_t seen = -1;
-  while (seen < data_index) {
-    ++pos;
-    if ((pos & (pos - 1)) != 0) ++seen;  // not a power of two
-  }
-  return pos;
-}
-}  // namespace
-
 int HammingSecDed::parity_bits_for(std::int64_t data_bits) {
   RADAR_REQUIRE(data_bits > 0, "need at least one data bit");
   int r = 0;
@@ -37,9 +21,16 @@ std::uint32_t HammingSecDed::syndrome_and_parity(
     std::span<const std::uint8_t> data, bool& overall) const {
   std::uint32_t syndrome = 0;
   bool parity = false;
+  // Data bit i sits at the (i+1)-th 1-based codeword position that is not
+  // a power of two (those hold parity): 3, 5, 6, 7, 9, ... The position
+  // advances by one per bit and skips a power of two when it lands on one;
+  // the next position after a power of two >= 4 never is one.
+  std::int64_t pos = 2;
   for (std::int64_t i = 0; i < data_bits_; ++i) {
+    ++pos;
+    if ((pos & (pos - 1)) == 0) ++pos;
     if (!data_bit(data, i)) continue;
-    syndrome ^= static_cast<std::uint32_t>(codeword_position(i));
+    syndrome ^= static_cast<std::uint32_t>(pos);
     parity = !parity;
   }
   overall = parity;

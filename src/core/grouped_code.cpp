@@ -1,5 +1,7 @@
 #include "core/grouped_code.h"
 
+#include <ranges>
+
 #include "codes/crc.h"
 #include "codes/fletcher.h"
 #include "codes/hamming.h"
@@ -42,6 +44,16 @@ class HammingBlockCode : public BlockCode {
   codes::HammingSecDed code_;
 };
 
+/// Gather `group` of a layer's codes `q` into `block` (group_size bytes);
+/// padding slots become zero.
+void gather(std::span<const std::int8_t> q, const GroupLayout& layout,
+            std::int64_t group, std::span<std::int8_t> block) {
+  layout.for_each_member(group, [&](std::int64_t slot, std::int64_t i) {
+    block[static_cast<std::size_t>(slot)] =
+        i >= 0 ? q[static_cast<std::size_t>(i)] : std::int8_t{0};
+  });
+}
+
 }  // namespace
 
 BlockCodeFactory crc_block_code(int width) {
@@ -83,16 +95,27 @@ void GroupedCodeScheme::attach(const quant::QuantizedModel& qm, bool sign) {
   if (sign) resign(qm);
 }
 
-void GroupedCodeScheme::gather(const quant::QuantizedModel& qm,
-                               std::size_t layer, std::int64_t group,
-                               std::vector<std::int8_t>& block) const {
-  const auto& layout = layouts_[layer];
-  const auto& q = qm.layer(layer).q;
-  block.assign(static_cast<std::size_t>(layout.group_size()), 0);
-  for (std::int64_t slot = 0; slot < layout.group_size(); ++slot) {
-    const std::int64_t i = layout.member(group, slot);
-    if (i >= 0) block[static_cast<std::size_t>(slot)] =
-        q[static_cast<std::size_t>(i)];
+void GroupedCodeScheme::require_attached_to(
+    const quant::QuantizedModel& qm) const {
+  RADAR_REQUIRE(attached(), "scan before attach");
+  RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
+                "scheme not attached to this model");
+}
+
+template <class Groups>
+void GroupedCodeScheme::scan_groups(const quant::QuantizedModel& qm,
+                                    std::size_t layer, const Groups& groups,
+                                    std::vector<std::int64_t>& flagged,
+                                    ScanScratch& scratch) const {
+  const GroupLayout& layout = layouts_[layer];
+  const PackedWordStore& golden = golden_[layer];
+  const std::span<const std::int8_t> q = qm.layer(layer).q;
+  scratch.block.resize(static_cast<std::size_t>(layout.group_size()));
+  const std::span<std::int8_t> block(scratch.block);
+  flagged.clear();
+  for (const std::int64_t g : groups) {
+    gather(q, layout, g, block);
+    if (code_->compute(block) != golden.get(g)) flagged.push_back(g);
   }
 }
 
@@ -100,15 +123,10 @@ void GroupedCodeScheme::scan_layer_into(const quant::QuantizedModel& qm,
                                         std::size_t layer,
                                         std::vector<std::int64_t>& flagged,
                                         ScanScratch& scratch) const {
-  RADAR_REQUIRE(attached(), "scan before attach");
-  RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
-                "scheme not attached to this model");
-  flagged.clear();
-  for (std::int64_t g = 0; g < layouts_[layer].num_groups(); ++g) {
-    gather(qm, layer, g, scratch.block);
-    if (code_->compute(scratch.block) != golden_[layer].get(g))
-      flagged.push_back(g);
-  }
+  require_attached_to(qm);
+  scan_groups(qm, layer,
+              std::views::iota(std::int64_t{0}, layouts_[layer].num_groups()),
+              flagged, scratch);
 }
 
 void GroupedCodeScheme::scan_layer_groups(const quant::QuantizedModel& qm,
@@ -116,36 +134,23 @@ void GroupedCodeScheme::scan_layer_groups(const quant::QuantizedModel& qm,
                                           std::span<const std::int64_t> groups,
                                           std::vector<std::int64_t>& flagged,
                                           ScanScratch& scratch) const {
-  RADAR_REQUIRE(attached(), "scan before attach");
-  RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
-                "scheme not attached to this model");
-  flagged.clear();
-  for (const std::int64_t g : groups) {
-    gather(qm, layer, g, scratch.block);
-    if (code_->compute(scratch.block) != golden_[layer].get(g))
-      flagged.push_back(g);
-  }
+  require_attached_to(qm);
+  scan_groups(qm, layer, groups, flagged, scratch);
 }
 
 void GroupedCodeScheme::scan_layer_range_into(
     const quant::QuantizedModel& qm, std::size_t layer,
     std::int64_t group_begin, std::int64_t group_end,
     std::vector<std::int64_t>& flagged, ScanScratch& scratch) const {
-  RADAR_REQUIRE(attached(), "scan before attach");
-  RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
-                "scheme not attached to this model");
+  require_attached_to(qm);
   RADAR_REQUIRE(layer < layouts_.size() && group_begin >= 0 &&
                     group_begin <= group_end &&
                     group_end <= layouts_[layer].num_groups(),
                 "group range out of bounds");
   // Block codes pay per gathered group either way, so a range scan is the
   // full-scan loop bounded to [group_begin, group_end).
-  flagged.clear();
-  for (std::int64_t g = group_begin; g < group_end; ++g) {
-    gather(qm, layer, g, scratch.block);
-    if (code_->compute(scratch.block) != golden_[layer].get(g))
-      flagged.push_back(g);
-  }
+  scan_groups(qm, layer, std::views::iota(group_begin, group_end), flagged,
+              scratch);
 }
 
 void GroupedCodeScheme::resign_layer(const quant::QuantizedModel& qm,
@@ -153,9 +158,11 @@ void GroupedCodeScheme::resign_layer(const quant::QuantizedModel& qm,
   RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
                 "scheme not attached to this model");
   RADAR_REQUIRE(layer < layouts_.size(), "layer out of range");
-  std::vector<std::int8_t> block;
-  for (std::int64_t g = 0; g < layouts_[layer].num_groups(); ++g) {
-    gather(qm, layer, g, block);
+  const GroupLayout& layout = layouts_[layer];
+  const std::span<const std::int8_t> q = qm.layer(layer).q;
+  std::vector<std::int8_t> block(static_cast<std::size_t>(layout.group_size()));
+  for (std::int64_t g = 0; g < layout.num_groups(); ++g) {
+    gather(q, layout, g, block);
     golden_[layer].set(g, code_->compute(block));
   }
 }

@@ -71,9 +71,13 @@ class GroupedCodeScheme : public SchemeBase {
   void import_golden(std::vector<std::vector<std::uint8_t>> packed) override;
 
  private:
-  /// Gather group `g` of `layer` into a zero-padded group_size block.
-  void gather(const quant::QuantizedModel& qm, std::size_t layer,
-              std::int64_t group, std::vector<std::int8_t>& block) const;
+  void require_attached_to(const quant::QuantizedModel& qm) const;
+  /// The one scan loop: gather, compute and compare each group of
+  /// `groups` (any range of group ids), appending mismatches to `flagged`.
+  template <class Groups>
+  void scan_groups(const quant::QuantizedModel& qm, std::size_t layer,
+                   const Groups& groups, std::vector<std::int64_t>& flagged,
+                   ScanScratch& scratch) const;
 
   BlockCodeFactory make_code_;
   std::unique_ptr<BlockCode> code_;  ///< built on attach

@@ -119,10 +119,9 @@ void SchemeBase::recover(quant::QuantizedModel& qm,
             ? clean_span(li)
             : std::span<const std::int8_t>{};
     for (const std::int64_t g : report.flagged[li]) {
-      // Iterate slots directly — group_members() would allocate per group.
-      for (std::int64_t slot = 0; slot < layout.group_size(); ++slot) {
-        const std::int64_t idx = layout.member(g, slot);
-        if (idx < 0) continue;
+      // Walk slots directly — group_members() would allocate per group.
+      layout.for_each_member(g, [&](std::int64_t, std::int64_t idx) {
+        if (idx < 0) return;
         switch (policy) {
           case RecoveryPolicy::kZeroOut:
             qm.set_code(li, idx, 0);
@@ -131,7 +130,7 @@ void SchemeBase::recover(quant::QuantizedModel& qm,
             qm.set_code(li, idx, clean[static_cast<std::size_t>(idx)]);
             break;
         }
-      }
+      });
     }
   }
 }

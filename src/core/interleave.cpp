@@ -66,10 +66,9 @@ std::vector<std::int64_t> GroupLayout::group_members(
     std::int64_t group) const {
   std::vector<std::int64_t> out;
   out.reserve(static_cast<std::size_t>(group_size_));
-  for (std::int64_t s = 0; s < group_size_; ++s) {
-    const std::int64_t i = member(group, s);
+  for_each_member(group, [&](std::int64_t, std::int64_t i) {
     if (i >= 0) out.push_back(i);
-  }
+  });
   return out;
 }
 

@@ -46,7 +46,37 @@ class GroupLayout {
   std::int64_t slot_of(std::int64_t i) const;
 
   /// Original index occupying (group, slot), or -1 for a padding slot.
+  /// For single lookups; walks over a whole group use for_each_member.
   std::int64_t member(std::int64_t group, std::int64_t slot) const;
+
+  /// Calls fn(slot, index) for slot = 0..G-1 of `group`, in slot order,
+  /// with index == member(group, slot) (-1 for a padding slot). `group`
+  /// is range-checked once; the walk itself is strength-reduced. A
+  /// contiguous group is a run, so the index steps by one. An interleaved
+  /// slot s sits in row s at column c_s = (group - t*s) mod Ng, so
+  /// c_{s+1} = c_s - (t mod Ng), wrapped by one add of Ng; no modulo runs
+  /// per slot.
+  template <class Fn>
+  void for_each_member(std::int64_t group, Fn&& fn) const {
+    RADAR_REQUIRE(group >= 0 && group < num_groups_, "group out of range");
+    if (!interleaved_) {
+      const std::int64_t base = group * group_size_;
+      for (std::int64_t s = 0; s < group_size_; ++s) {
+        const std::int64_t i = base + s;
+        fn(s, i < num_weights_ ? i : std::int64_t{-1});
+      }
+      return;
+    }
+    const std::int64_t step = skew_ % num_groups_;
+    std::int64_t c = group;
+    std::int64_t row = 0;
+    for (std::int64_t s = 0; s < group_size_; ++s, row += num_groups_) {
+      const std::int64_t i = row + c;
+      fn(s, i < num_weights_ ? i : std::int64_t{-1});
+      c -= step;
+      if (c < 0) c += num_groups_;
+    }
+  }
 
   /// All real (non-padding) original indices of a group, in slot order.
   std::vector<std::int64_t> group_members(std::int64_t group) const;

@@ -2,50 +2,6 @@
 
 namespace radar::core {
 
-SignatureStore::SignatureStore(std::int64_t num_groups, int width)
-    : num_groups_(num_groups), width_(width) {
-  RADAR_REQUIRE(num_groups >= 0, "negative group count");
-  RADAR_REQUIRE(width == 2 || width == 3, "signature width must be 2 or 3");
-  bits_.assign(static_cast<std::size_t>((num_groups * width + 7) / 8), 0);
-}
-
-void SignatureStore::set(std::int64_t group, Signature s) {
-  RADAR_REQUIRE(group >= 0 && group < num_groups_, "group out of range");
-  RADAR_REQUIRE(s.width == width_, "signature width mismatch");
-  const std::int64_t base = group * width_;
-  for (int b = 0; b < width_; ++b) {
-    const std::int64_t pos = base + b;
-    const auto byte = static_cast<std::size_t>(pos / 8);
-    const int off = static_cast<int>(pos % 8);
-    if ((s.bits >> b) & 1)
-      bits_[byte] = static_cast<std::uint8_t>(bits_[byte] | (1u << off));
-    else
-      bits_[byte] = static_cast<std::uint8_t>(bits_[byte] & ~(1u << off));
-  }
-}
-
-void SignatureStore::set_packed(std::vector<std::uint8_t> bytes) {
-  RADAR_REQUIRE(static_cast<std::int64_t>(bytes.size()) == storage_bytes(),
-                "packed signature size mismatch");
-  bits_ = std::move(bytes);
-}
-
-Signature SignatureStore::get(std::int64_t group) const {
-  RADAR_REQUIRE(group >= 0 && group < num_groups_, "group out of range");
-  Signature s;
-  s.width = width_;
-  s.bits = 0;
-  const std::int64_t base = group * width_;
-  for (int b = 0; b < width_; ++b) {
-    const std::int64_t pos = base + b;
-    const auto byte = static_cast<std::size_t>(pos / 8);
-    const int off = static_cast<int>(pos % 8);
-    if ((bits_[byte] >> off) & 1)
-      s.bits = static_cast<std::uint8_t>(s.bits | (1u << b));
-  }
-  return s;
-}
-
 PackedWordStore::PackedWordStore(std::int64_t num_groups, int width)
     : num_groups_(num_groups), width_(width) {
   RADAR_REQUIRE(num_groups >= 0, "negative group count");
@@ -58,35 +14,30 @@ void PackedWordStore::set(std::int64_t group, std::uint32_t word) {
   RADAR_REQUIRE(group >= 0 && group < num_groups_, "group out of range");
   RADAR_REQUIRE(width_ == 32 || word < (1u << width_),
                 "code word exceeds store width");
-  const std::int64_t base = group * width_;
-  for (int b = 0; b < width_; ++b) {
-    const std::int64_t pos = base + b;
-    const auto byte = static_cast<std::size_t>(pos / 8);
-    const int off = static_cast<int>(pos % 8);
-    if ((word >> b) & 1u)
-      bits_[byte] = static_cast<std::uint8_t>(bits_[byte] | (1u << off));
-    else
-      bits_[byte] = static_cast<std::uint8_t>(bits_[byte] & ~(1u << off));
-  }
-}
-
-std::uint32_t PackedWordStore::get(std::int64_t group) const {
-  RADAR_REQUIRE(group >= 0 && group < num_groups_, "group out of range");
-  std::uint32_t word = 0;
-  const std::int64_t base = group * width_;
-  for (int b = 0; b < width_; ++b) {
-    const std::int64_t pos = base + b;
-    const auto byte = static_cast<std::size_t>(pos / 8);
-    const int off = static_cast<int>(pos % 8);
-    if ((bits_[byte] >> off) & 1) word |= (1u << b);
-  }
-  return word;
+  const std::int64_t pos = group * width_;
+  const int shift = static_cast<int>(pos & 7);
+  std::uint64_t v = load_span(pos);
+  v = (v & ~(word_mask() << shift)) | (std::uint64_t{word} << shift);
+  std::uint8_t* p = bits_.data() + (pos >> 3);
+  for (int k = 0, n = span_bytes(pos); k < n; ++k)
+    p[k] = static_cast<std::uint8_t>(v >> (8 * k));
 }
 
 void PackedWordStore::set_packed(std::vector<std::uint8_t> bytes) {
   RADAR_REQUIRE(static_cast<std::int64_t>(bytes.size()) == storage_bytes(),
                 "packed code word size mismatch");
   bits_ = std::move(bytes);
+}
+
+SignatureStore::SignatureStore(std::int64_t num_groups, int width) {
+  RADAR_REQUIRE(width == 2 || width == 3, "signature width must be 2 or 3");
+  words_ = PackedWordStore(num_groups, width);
+}
+
+void SignatureStore::set(std::int64_t group, Signature s) {
+  RADAR_REQUIRE(s.width == width(), "signature width mismatch");
+  // Only the low `width` bits of a signature are stored.
+  words_.set(group, s.bits & ((1u << s.width) - 1u));
 }
 
 }  // namespace radar::core

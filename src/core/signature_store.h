@@ -1,54 +1,26 @@
-// Packed golden-signature storage ("secure on-chip SRAM" in the paper).
+// Packed golden-code storage ("secure on-chip SRAM" in the paper).
 //
-// Signatures are 2 or 3 bits per group and are bit-packed; storage_bytes()
-// is exactly the number the paper's Fig. 6 x-axis reports (5.6 KB for
-// ResNet-18 at G = 512).
+// There is one packing, read and written by words: group g's `width`-bit
+// word occupies stream bits [g*width, (g+1)*width), LSB first, where
+// stream bit p is bit p % 8 of byte p / 8. A word of at most 32 bits
+// spans at most 5 bytes, so get/set load or modify those bytes with one
+// shift and mask instead of walking bits. PackedWordStore holds the
+// baseline codes' check words (1..32 bits); SignatureStore holds RADAR's
+// 2/3-bit signatures on top of it. storage_bytes() is exactly the number
+// the paper's Fig. 6 x-axis reports (5.6 KB for ResNet-18 at G = 512).
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/checksum.h"
 
 namespace radar::core {
 
-class SignatureStore {
- public:
-  SignatureStore() = default;
-  SignatureStore(std::int64_t num_groups, int width);
-
-  std::int64_t num_groups() const { return num_groups_; }
-  int width() const { return width_; }
-
-  void set(std::int64_t group, Signature s);
-  Signature get(std::int64_t group) const;
-
-  /// Bytes needed to hold all signatures (bit-packed, rounded up).
-  std::int64_t storage_bytes() const {
-    return (num_groups_ * width_ + 7) / 8;
-  }
-
-  /// Packed signature bytes (for serialization).
-  const std::vector<std::uint8_t>& packed() const { return bits_; }
-  /// Replace the packed bytes (must match storage_bytes()).
-  void set_packed(std::vector<std::uint8_t> bytes);
-
-  /// Storage for an arbitrary configuration without building a store.
-  static std::int64_t storage_bytes_for(std::int64_t num_weights,
-                                        std::int64_t group_size, int width) {
-    const std::int64_t groups = (num_weights + group_size - 1) / group_size;
-    return (groups * width + 7) / 8;
-  }
-
- private:
-  std::int64_t num_groups_ = 0;
-  int width_ = 2;
-  std::vector<std::uint8_t> bits_;
-};
-
 /// Bit-packed storage of one fixed-width code word per group, for the
 /// wider baseline codes (CRC-7..CRC-16, Fletcher, Hamming SEC-DED check
-/// words). Same packing discipline as SignatureStore but word-valued.
+/// words) and, through SignatureStore, RADAR's signatures.
 class PackedWordStore {
  public:
   PackedWordStore() = default;
@@ -59,7 +31,12 @@ class PackedWordStore {
   int width() const { return width_; }
 
   void set(std::int64_t group, std::uint32_t word);
-  std::uint32_t get(std::int64_t group) const;
+  std::uint32_t get(std::int64_t group) const {
+    RADAR_REQUIRE(group >= 0 && group < num_groups_, "group out of range");
+    const std::int64_t pos = group * width_;
+    const std::uint64_t v = load_span(pos) >> (pos & 7);
+    return static_cast<std::uint32_t>(v & word_mask());
+  }
 
   /// Bytes needed to hold all words (bit-packed, rounded up).
   std::int64_t storage_bytes() const {
@@ -71,9 +48,58 @@ class PackedWordStore {
   void set_packed(std::vector<std::uint8_t> bytes);
 
  private:
+  std::uint64_t word_mask() const { return (std::uint64_t{1} << width_) - 1; }
+  /// Bytes (at most 5) holding the word that starts at stream bit `pos`.
+  int span_bytes(std::int64_t pos) const {
+    return static_cast<int>(((pos & 7) + width_ + 7) >> 3);
+  }
+  /// Little-endian value of those bytes; never reads past the last one.
+  std::uint64_t load_span(std::int64_t pos) const {
+    const std::uint8_t* p = bits_.data() + (pos >> 3);
+    std::uint64_t v = 0;
+    for (int k = 0, n = span_bytes(pos); k < n; ++k)
+      v |= std::uint64_t{p[k]} << (8 * k);
+    return v;
+  }
+
   std::int64_t num_groups_ = 0;
   int width_ = 0;
   std::vector<std::uint8_t> bits_;
+};
+
+/// 2- or 3-bit RADAR signatures, one per group.
+class SignatureStore {
+ public:
+  SignatureStore() = default;
+  SignatureStore(std::int64_t num_groups, int width);
+
+  std::int64_t num_groups() const { return words_.num_groups(); }
+  int width() const { return words_.width(); }
+
+  void set(std::int64_t group, Signature s);
+  Signature get(std::int64_t group) const {
+    return Signature{static_cast<std::uint8_t>(words_.get(group)), width()};
+  }
+
+  /// Bytes needed to hold all signatures (bit-packed, rounded up).
+  std::int64_t storage_bytes() const { return words_.storage_bytes(); }
+
+  /// Packed signature bytes (for serialization).
+  const std::vector<std::uint8_t>& packed() const { return words_.packed(); }
+  /// Replace the packed bytes (must match storage_bytes()).
+  void set_packed(std::vector<std::uint8_t> bytes) {
+    words_.set_packed(std::move(bytes));
+  }
+
+  /// Storage for an arbitrary configuration without building a store.
+  static std::int64_t storage_bytes_for(std::int64_t num_weights,
+                                        std::int64_t group_size, int width) {
+    const std::int64_t groups = (num_weights + group_size - 1) / group_size;
+    return (groups * width + 7) / 8;
+  }
+
+ private:
+  PackedWordStore words_{0, 2};
 };
 
 }  // namespace radar::core

@@ -243,6 +243,55 @@ TEST(Hamming, I8ConvenienceMatchesBytes) {
   EXPECT_TRUE(r.ok);
 }
 
+// Closed form of data bit i's 1-based codeword position: the (i+1)-th
+// position that is not a power of two is i + 1 + k, where k counts the
+// powers of two (parity positions) at or below it.
+std::uint32_t reference_position(std::int64_t i) {
+  std::int64_t k = 0;
+  while ((std::int64_t{1} << k) <= i + 1 + k) ++k;
+  return static_cast<std::uint32_t>(i + 1 + k);
+}
+
+std::uint32_t reference_encode(const std::vector<std::uint8_t>& data,
+                               std::int64_t data_bits, int parity_bits) {
+  std::uint32_t syndrome = 0;
+  bool total = false;
+  for (std::int64_t i = 0; i < data_bits; ++i)
+    if ((data[static_cast<std::size_t>(i / 8)] >> (i % 8)) & 1u) {
+      syndrome ^= reference_position(i);
+      total = !total;
+    }
+  for (int b = 0; b < parity_bits; ++b)
+    if ((syndrome >> b) & 1u) total = !total;
+  return syndrome | (static_cast<std::uint32_t>(total) << parity_bits);
+}
+
+TEST(Hamming, EncodeMatchesClosedFormPositions) {
+  EXPECT_EQ(reference_position(0), 3u);
+  EXPECT_EQ(reference_position(1), 5u);
+  EXPECT_EQ(reference_position(3), 7u);
+  EXPECT_EQ(reference_position(4), 9u);
+  for (const std::int64_t data_bits : {8, 64, 128, 4096}) {
+    const HammingSecDed code(data_bits);
+    Rng rng(static_cast<std::uint64_t>(data_bits));
+    std::vector<std::uint8_t> data(static_cast<std::size_t>(data_bits / 8));
+    for (int trial = 0; trial < 8; ++trial) {
+      for (auto& b : data) b = static_cast<std::uint8_t>(rng.bits() & 0xFF);
+      const std::uint32_t word = code.encode(data);
+      EXPECT_EQ(word, reference_encode(data, data_bits, code.parity_bits()))
+          << "data_bits " << data_bits << " trial " << trial;
+      // A single data-bit error reports that bit's codeword position.
+      const auto i = static_cast<std::int64_t>(rng.bits() % data_bits);
+      data[static_cast<std::size_t>(i / 8)] ^=
+          static_cast<std::uint8_t>(1u << (i % 8));
+      const SecDedResult r = code.check(data, word);
+      EXPECT_TRUE(r.corrected);
+      EXPECT_EQ(r.error_bit, std::int64_t{reference_position(i)})
+          << "data bit " << i;
+    }
+  }
+}
+
 TEST(Fletcher, KnownAnswers) {
   // Standard example: "abcde" -> Fletcher-16 = 0xC8F0.
   EXPECT_EQ(fletcher16(bytes_of("abcde")), 0xC8F0);

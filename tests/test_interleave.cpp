@@ -127,6 +127,48 @@ TEST(GroupLayout, PaddingSlotsReportedAsMissing) {
   EXPECT_EQ(layout.member(2, 3), -1);
 }
 
+class MemberWalk : public ::testing::TestWithParam<
+                       std::tuple<std::int64_t, std::int64_t, std::int64_t>> {
+};
+
+TEST_P(MemberWalk, ForEachMemberYieldsExactlyMember) {
+  const auto [w, g, skew] = GetParam();
+  for (const bool inter : {false, true}) {
+    const GroupLayout layout = inter ? GroupLayout::interleaved(w, g, skew)
+                                     : GroupLayout::contiguous(w, g);
+    for (std::int64_t grp = 0; grp < layout.num_groups(); ++grp) {
+      std::int64_t expected_slot = 0;
+      layout.for_each_member(grp, [&](std::int64_t slot, std::int64_t i) {
+        EXPECT_EQ(slot, expected_slot++);
+        EXPECT_EQ(i, layout.member(grp, slot))
+            << (inter ? "interleaved" : "contiguous") << " W=" << w
+            << " G=" << g << " skew=" << skew << " group " << grp
+            << " slot " << slot;
+      });
+      EXPECT_EQ(expected_slot, g);
+    }
+    EXPECT_THROW(layout.for_each_member(-1, [](auto, auto) {}),
+                 InvalidArgument);
+    EXPECT_THROW(
+        layout.for_each_member(layout.num_groups(), [](auto, auto) {}),
+        InvalidArgument);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Walks, MemberWalk,
+    ::testing::Values(
+        // W, G, skew
+        std::make_tuple(128, 16, 3),   // W % G == 0
+        std::make_tuple(100, 8, 3),    // W % G != 0: padding in the last row
+        std::make_tuple(5, 4, 3),      // Ng = 2 <= skew
+        std::make_tuple(9, 4, 7),      // Ng = 3, skew wraps twice
+        std::make_tuple(6, 8, 3),      // Ng == 1, padding slots
+        std::make_tuple(8, 8, 0),      // Ng == 1, skew 0
+        std::make_tuple(7, 1, 3),      // G == 1
+        std::make_tuple(4097, 64, 5),  // large, one padding-heavy row
+        std::make_tuple(270896, 512, 3)));
+
 TEST(GroupLayout, InvalidArgumentsThrow) {
   EXPECT_THROW(GroupLayout::contiguous(0, 8), InvalidArgument);
   EXPECT_THROW(GroupLayout::contiguous(8, 0), InvalidArgument);

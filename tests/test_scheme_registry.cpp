@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "common/bits.h"
+#include "core/grouped_code.h"
 #include "core/scheme.h"
 #include "core/scheme_registry.h"
 
@@ -132,6 +133,116 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(SchemeRegistry::instance().ids()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+// Grouped-code differential: every scan entry point of every block-code
+// scheme must flag exactly the groups a slot-by-slot reference flags. The
+// reference gathers through GroupLayout::member() and calls code().compute()
+// directly, so it shares neither the member walk nor the golden store with
+// the scheme.
+class GroupedScanDifferential
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, std::int64_t, bool>> {};
+
+std::vector<std::uint32_t> reference_words(const GroupedCodeScheme& scheme,
+                                           const quant::QuantizedModel& qm,
+                                           std::size_t layer) {
+  const GroupLayout& layout = scheme.layout(layer);
+  const auto q = qm.layer(layer).q;
+  std::vector<std::uint32_t> words;
+  std::vector<std::int8_t> block(static_cast<std::size_t>(layout.group_size()));
+  for (std::int64_t g = 0; g < layout.num_groups(); ++g) {
+    for (std::int64_t s = 0; s < layout.group_size(); ++s) {
+      const std::int64_t i = layout.member(g, s);
+      block[static_cast<std::size_t>(s)] =
+          i < 0 ? std::int8_t{0} : q[static_cast<std::size_t>(i)];
+    }
+    words.push_back(scheme.code().compute(block));
+  }
+  return words;
+}
+
+TEST_P(GroupedScanDifferential, AllScanPathsMatchMemberReference) {
+  const auto [id, group_size, interleave] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(group_size * 2 + interleave));
+  nn::ResNet model(tiny_spec(), rng);
+  quant::QuantizedModel qm(model);
+  SchemeParams params;
+  params.group_size = group_size;
+  params.interleave = interleave;
+  auto owned = SchemeRegistry::instance().create(id, params);
+  auto* scheme = dynamic_cast<GroupedCodeScheme*>(owned.get());
+  ASSERT_NE(scheme, nullptr) << id << " is not a GroupedCodeScheme";
+  scheme->attach(qm);
+
+  std::vector<std::vector<std::uint32_t>> golden;
+  for (std::size_t li = 0; li < qm.num_layers(); ++li)
+    golden.push_back(reference_words(*scheme, qm, li));
+
+  ScanScratch scratch;
+  std::vector<std::int64_t> flagged;
+  for (int round = 0; round < 4; ++round) {
+    const quant::ArenaSnapshot clean = qm.snapshot();
+    const int flips = 1 + round * 3;
+    for (int f = 0; f < flips; ++f) {
+      const auto li = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(qm.num_layers()) - 1));
+      qm.flip_bit(li, rng.uniform_int(0, qm.layer(li).size() - 1), kMsb);
+    }
+    for (std::size_t li = 0; li < qm.num_layers(); ++li) {
+      const auto words = reference_words(*scheme, qm, li);
+      std::vector<std::int64_t> expected;
+      for (std::size_t g = 0; g < words.size(); ++g)
+        if (words[g] != golden[li][g])
+          expected.push_back(static_cast<std::int64_t>(g));
+      const auto ng = static_cast<std::int64_t>(words.size());
+
+      scheme->scan_layer_into(qm, li, flagged, scratch);
+      EXPECT_EQ(flagged, expected) << id << " layer " << li;
+
+      // A sorted subset of the groups: every third one plus the last.
+      std::vector<std::int64_t> subset, expected_subset;
+      for (std::int64_t g = 0; g < ng; ++g)
+        if (g % 3 == round % 3 || g == ng - 1) subset.push_back(g);
+      for (const std::int64_t g : expected)
+        if (std::binary_search(subset.begin(), subset.end(), g))
+          expected_subset.push_back(g);
+      scheme->scan_layer_groups(qm, li, subset, flagged, scratch);
+      EXPECT_EQ(flagged, expected_subset) << id << " layer " << li;
+
+      const std::int64_t begin = ng / 3, end = ng - ng / 4;
+      std::vector<std::int64_t> expected_range;
+      for (const std::int64_t g : expected)
+        if (g >= begin && g < end) expected_range.push_back(g);
+      scheme->scan_layer_range_into(qm, li, begin, end, flagged, scratch);
+      EXPECT_EQ(flagged, expected_range) << id << " layer " << li;
+      scheme->scan_layer_range_into(qm, li, 0, ng, flagged, scratch);
+      EXPECT_EQ(flagged, expected) << id << " layer " << li;
+    }
+    qm.restore(clean);
+  }
+
+  const std::int64_t past_end = scheme->layout(0).num_groups();
+  for (const std::int64_t bad : {std::int64_t{-1}, past_end}) {
+    const std::vector<std::int64_t> groups = {0, bad};
+    EXPECT_THROW(scheme->scan_layer_groups(qm, 0, groups, flagged, scratch),
+                 InvalidArgument)
+        << id << " accepted group " << bad;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BlockCodes, GroupedScanDifferential,
+    ::testing::Combine(::testing::Values("crc7", "crc10", "crc13", "crc16",
+                                         "fletcher", "hamming-secded"),
+                       ::testing::Values(8, 16, 512), ::testing::Bool()),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param) + "_G" +
+                         std::to_string(std::get<1>(info.param)) +
+                         (std::get<2>(info.param) ? "_interleaved"
+                                                  : "_contiguous");
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });

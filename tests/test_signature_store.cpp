@@ -1,4 +1,5 @@
-// SignatureStore: bit-packing round trips and storage accounting.
+// SignatureStore / PackedWordStore: bit-packing round trips, the packed
+// byte format against a bit-by-bit reference, and storage accounting.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -74,6 +75,120 @@ TEST(SignatureStore, RangeChecks) {
   EXPECT_THROW(store.set(4, s), InvalidArgument);
   EXPECT_THROW(store.get(-1), InvalidArgument);
   EXPECT_THROW(SignatureStore(4, 1), InvalidArgument);
+}
+
+// Reference for the packed format: word g's bit b is stream bit
+// g*width + b, stored as bit (pos % 8) of byte pos / 8 (LSB first).
+std::vector<std::uint8_t> reference_pack(
+    const std::vector<std::uint32_t>& words, int width) {
+  std::vector<std::uint8_t> bytes((words.size() * width + 7) / 8, 0);
+  for (std::size_t g = 0; g < words.size(); ++g)
+    for (int b = 0; b < width; ++b)
+      if ((words[g] >> b) & 1u) {
+        const std::size_t pos = g * static_cast<std::size_t>(width) + b;
+        bytes[pos / 8] = static_cast<std::uint8_t>(bytes[pos / 8] |
+                                                   (1u << (pos % 8)));
+      }
+  return bytes;
+}
+
+std::vector<std::uint32_t> reference_unpack(
+    const std::vector<std::uint8_t>& bytes, std::size_t n, int width) {
+  std::vector<std::uint32_t> words(n, 0);
+  for (std::size_t g = 0; g < n; ++g)
+    for (int b = 0; b < width; ++b) {
+      const std::size_t pos = g * static_cast<std::size_t>(width) + b;
+      if ((bytes[pos / 8] >> (pos % 8)) & 1u) words[g] |= 1u << b;
+    }
+  return words;
+}
+
+std::uint32_t width_mask(int width) {
+  return width == 32 ? 0xFFFFFFFFu : (1u << width) - 1u;
+}
+
+// Group counts include 8 (and 1 for byte-multiple widths), where the last
+// word ends exactly on the last byte, so a read past it trips ASan.
+const std::int64_t kGroupCounts[] = {1, 3, 8, 13, 64, 257};
+
+class PackedWidth : public ::testing::TestWithParam<int> {};
+
+TEST_P(PackedWidth, RoundTripsAndMatchesReferenceFormat) {
+  const int width = GetParam();
+  for (const std::int64_t n : kGroupCounts) {
+    PackedWordStore store(n, width);
+    Rng rng(static_cast<std::uint64_t>(width * 1000 + n));
+    std::vector<std::uint32_t> words(static_cast<std::size_t>(n));
+    // Two passes: the second overwrites every word, so set() must clear
+    // the old bits as well as set the new ones.
+    for (int pass = 0; pass < 2; ++pass)
+      for (std::int64_t g = 0; g < n; ++g) {
+        auto& w = words[static_cast<std::size_t>(g)];
+        w = static_cast<std::uint32_t>(rng.bits()) & width_mask(width);
+        store.set(g, w);
+      }
+    for (std::int64_t g = 0; g < n; ++g)
+      ASSERT_EQ(store.get(g), words[static_cast<std::size_t>(g)])
+          << "width " << width << " groups " << n << " group " << g;
+    EXPECT_EQ(store.packed(), reference_pack(words, width))
+        << "width " << width << " groups " << n;
+  }
+}
+
+TEST_P(PackedWidth, SetPackedDecodesLikeReference) {
+  const int width = GetParam();
+  for (const std::int64_t n : kGroupCounts) {
+    PackedWordStore store(n, width);
+    Rng rng(static_cast<std::uint64_t>(width * 7919 + n));
+    std::vector<std::uint8_t> bytes(
+        static_cast<std::size_t>(store.storage_bytes()));
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.bits());
+    const auto expected =
+        reference_unpack(bytes, static_cast<std::size_t>(n), width);
+    store.set_packed(bytes);
+    for (std::int64_t g = 0; g < n; ++g)
+      ASSERT_EQ(store.get(g), expected[static_cast<std::size_t>(g)])
+          << "width " << width << " groups " << n << " group " << g;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWidths, PackedWidth, ::testing::Range(1, 33));
+
+TEST_P(StoreWidth, PackedMatchesReferenceFormat) {
+  const int width = GetParam();
+  for (const std::int64_t n : kGroupCounts) {
+    SignatureStore store(n, width);
+    Rng rng(static_cast<std::uint64_t>(width + n));
+    std::vector<std::uint32_t> words(static_cast<std::size_t>(n));
+    for (std::int64_t g = 0; g < n; ++g) {
+      auto& w = words[static_cast<std::size_t>(g)];
+      w = static_cast<std::uint32_t>(rng.bits()) & width_mask(width);
+      store.set(g, Signature{static_cast<std::uint8_t>(w), width});
+    }
+    EXPECT_EQ(store.packed(), reference_pack(words, width));
+
+    std::vector<std::uint8_t> bytes(
+        static_cast<std::size_t>(store.storage_bytes()));
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.bits());
+    const auto expected =
+        reference_unpack(bytes, static_cast<std::size_t>(n), width);
+    store.set_packed(bytes);
+    for (std::int64_t g = 0; g < n; ++g) {
+      EXPECT_EQ(store.get(g).bits, expected[static_cast<std::size_t>(g)]);
+      EXPECT_EQ(store.get(g).width, width);
+    }
+  }
+}
+
+TEST(PackedWordStore, RangeChecks) {
+  PackedWordStore store(4, 13);
+  EXPECT_THROW(store.set(4, 0), InvalidArgument);
+  EXPECT_THROW(store.get(-1), InvalidArgument);
+  EXPECT_THROW(store.set(0, 1u << 13), InvalidArgument);
+  EXPECT_THROW(store.set_packed(std::vector<std::uint8_t>(6)),
+               InvalidArgument);
+  EXPECT_THROW(PackedWordStore(4, 0), InvalidArgument);
+  EXPECT_THROW(PackedWordStore(4, 33), InvalidArgument);
 }
 
 }  // namespace
