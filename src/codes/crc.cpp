@@ -1,5 +1,6 @@
 #include "codes/crc.h"
 
+#include "codes/row_fold.h"
 #include "common/cpu_features.h"
 #include "common/error.h"
 
@@ -120,6 +121,49 @@ std::uint32_t Crc::compute_sliced16(
   }
   for (; n > 0; --n, ++d) reg = (reg << 8) ^ t[(reg >> 24) ^ *d];
   return reg >> la_shift_;
+}
+
+std::uint32_t Crc::extend_zeros(std::uint32_t crc, std::int64_t zeros) const {
+  RADAR_REQUIRE(zeros >= 0, "negative zero count");
+  const std::uint32_t* t = tables_.data();
+  // The left-aligned register's low la_shift_ bits are always zero.
+  std::uint32_t reg = crc << la_shift_;
+  for (; zeros >= 16; zeros -= 16)
+    reg = t[15 * 256 + (reg >> 24)] ^ t[14 * 256 + ((reg >> 16) & 0xFFu)] ^
+          t[13 * 256 + ((reg >> 8) & 0xFFu)] ^ t[12 * 256 + (reg & 0xFFu)];
+  for (; zeros > 0; --zeros) reg = (reg << 8) ^ t[reg >> 24];
+  return reg >> la_shift_;
+}
+
+void Crc::fold(std::span<std::uint32_t> regs,
+               std::span<const std::uint8_t* const> rows) const {
+  const std::uint32_t* t = tables_.data();
+  std::uint32_t* reg = regs.data();
+  const std::size_t n = regs.size();
+  for_each_row_run(
+      rows,
+      [&](std::size_t j) {
+        // Eight rows are one slicing-by-8 step of compute_sliced8, with
+        // block k's 8 bytes read down the rows instead of along a buffer.
+        static_assert(kFusedRows == 8);
+        const std::uint8_t* const* d = rows.data() + j;
+        for (std::size_t k = 0; k < n; ++k) {
+          const std::uint32_t x =
+              reg[k] ^ ((static_cast<std::uint32_t>(d[0][k]) << 24) |
+                        (static_cast<std::uint32_t>(d[1][k]) << 16) |
+                        (static_cast<std::uint32_t>(d[2][k]) << 8) |
+                        static_cast<std::uint32_t>(d[3][k]));
+          reg[k] = t[7 * 256 + (x >> 24)] ^ t[6 * 256 + ((x >> 16) & 0xFFu)] ^
+                   t[5 * 256 + ((x >> 8) & 0xFFu)] ^ t[4 * 256 + (x & 0xFFu)] ^
+                   t[3 * 256 + d[4][k]] ^ t[2 * 256 + d[5][k]] ^
+                   t[1 * 256 + d[6][k]] ^ t[0 * 256 + d[7][k]];
+        }
+      },
+      [&](std::size_t j) {
+        const std::uint8_t* d = rows[j];
+        for (std::size_t k = 0; k < n; ++k)
+          reg[k] = (reg[k] << 8) ^ t[(reg[k] >> 24) ^ d[k]];
+      });
 }
 
 std::uint32_t Crc::compute_i8(std::span<const std::int8_t> data) const {

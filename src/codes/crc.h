@@ -50,6 +50,20 @@ class Crc {
   /// Convenience for int8 weight groups.
   std::uint32_t compute_i8(std::span<const std::int8_t> data) const;
 
+  /// CRC of the data `crc` was computed over followed by `zeros` zero
+  /// bytes, without touching them: 16 zero bytes cost one slicing-by-16
+  /// step with no data lookups.
+  std::uint32_t extend_zeros(std::uint32_t crc, std::int64_t zeros) const;
+
+  /// Row-streaming form: regs[k] is one block's left-aligned register
+  /// (start at 0), advanced by rows.size() bytes in order: rows[j][k] is
+  /// regs[k]'s j-th byte. Folding all of a block's bytes and then calling
+  /// finish() equals compute() over it.
+  void fold(std::span<std::uint32_t> regs,
+            std::span<const std::uint8_t* const> rows) const;
+  /// Check word of a folded register.
+  std::uint32_t finish(std::uint32_t reg) const { return reg >> la_shift_; }
+
   /// Storage bits per protected group.
   int storage_bits() const { return spec_.width; }
 

@@ -6,6 +6,7 @@
 // that is 7+1 bits; for G = 512 (4096 bits), 13+1 bits.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -36,9 +37,11 @@ class HammingSecDed {
   static int parity_bits_for(std::int64_t data_bits);
 
   /// Encode: returns the check word (parity bits | overall parity at MSB).
+  /// Data bits past the end of `data` read as zero, so a short buffer is
+  /// a zero-padded block; bytes past data_bits are ignored.
   std::uint32_t encode(std::span<const std::uint8_t> data) const;
 
-  /// Check data against a stored check word.
+  /// Check data against a stored check word (`data` read as in encode).
   SecDedResult check(std::span<const std::uint8_t> data,
                      std::uint32_t stored_check) const;
 
@@ -46,6 +49,33 @@ class HammingSecDed {
   std::uint32_t encode_i8(std::span<const std::int8_t> data) const;
   SecDedResult check_i8(std::span<const std::int8_t> data,
                         std::uint32_t stored_check) const;
+
+  /// 1-based codeword position of data bit i, in O(1): the (i+1)-th
+  /// position that is not a power of two.
+  static std::int64_t data_bit_position(std::int64_t i);
+
+  /// Row-streaming form. A block's fold state (start at 0) holds its data
+  /// syndrome in bits 0..30 and its data parity in bit 31. Both are linear
+  /// over GF(2), so byte b at byte index i adds lo[b & 15] ^ hi[b >> 4] of
+  /// that index's ByteTerms.
+  struct ByteTerms {
+    std::uint32_t lo[16], hi[16];
+  };
+  ByteTerms byte_terms(std::int64_t byte_index) const;
+  /// Advances states[k] by rows.size() bytes of its block: rows[j][k] is
+  /// its byte at the index terms[j] was built for. Folding all of a
+  /// block's bytes and then calling finish() equals encode() over it.
+  void fold(std::span<std::uint32_t> states,
+            std::span<const std::uint8_t* const> rows,
+            const ByteTerms* terms) const;
+  /// Check word of a folded state. As in encode(), the overall parity
+  /// covers data and parity bits.
+  std::uint32_t finish(std::uint32_t state) const {
+    const std::uint32_t syndrome = state & 0x7FFFFFFFu;
+    const auto syndrome_parity =
+        static_cast<std::uint32_t>(std::popcount(syndrome)) & 1u;
+    return syndrome | (((state >> 31) ^ syndrome_parity) << parity_bits_);
+  }
 
  private:
   bool data_bit(std::span<const std::uint8_t> data, std::int64_t i) const {

@@ -1,34 +1,79 @@
 #include "core/grouped_code.h"
 
-#include <ranges>
+#include <algorithm>
+#include <cstring>
 
 #include "codes/crc.h"
 #include "codes/fletcher.h"
 #include "codes/hamming.h"
+#include "codes/row_fold.h"
 
 namespace radar::core {
 
 namespace {
 
+const std::uint8_t* as_bytes(const std::int8_t* p) {
+  return reinterpret_cast<const std::uint8_t*>(p);
+}
+
+/// Rows an interleaved pass hands to one BlockCode::fold call, and groups
+/// per tile: a pass stages kRowsPerFold x kTileGroups bytes (4 KiB), so
+/// the tile and its states stay in L1.
+constexpr std::int64_t kRowsPerFold = codes::kFusedRows;
+constexpr std::int64_t kTileGroups = 512;
+
+/// Padding slots of a block of `block_size` bytes of a `group_size` group.
+std::int64_t padding(std::int64_t group_size, std::size_t block_size) {
+  const auto pad = group_size - static_cast<std::int64_t>(block_size);
+  RADAR_REQUIRE(pad >= 0, "block larger than the group");
+  return pad;
+}
+
 class CrcBlockCode : public BlockCode {
  public:
-  explicit CrcBlockCode(const codes::CrcSpec& spec) : crc_(spec) {}
+  CrcBlockCode(const codes::CrcSpec& spec, std::int64_t group_size)
+      : crc_(spec), group_size_(group_size) {}
   int code_bits() const override { return crc_.storage_bits(); }
   std::uint32_t compute(std::span<const std::int8_t> block) const override {
-    return crc_.compute_i8(block);
+    return crc_.extend_zeros(crc_.compute_i8(block),
+                             padding(group_size_, block.size()));
+  }
+  void fold(std::span<std::uint32_t> state,
+            std::span<const std::uint8_t* const> rows,
+            std::int64_t /*first_slot*/) const override {
+    crc_.fold(state, rows);
+  }
+  void finish(std::span<std::uint32_t> state) const override {
+    for (std::uint32_t& x : state) x = crc_.finish(x);
   }
 
  private:
   codes::Crc crc_;
+  std::int64_t group_size_;
 };
 
 class Fletcher16BlockCode : public BlockCode {
  public:
+  explicit Fletcher16BlockCode(std::int64_t group_size)
+      : group_size_(group_size) {}
   int code_bits() const override { return 16; }
   std::uint32_t compute(std::span<const std::int8_t> block) const override {
-    return codes::fletcher16(std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(block.data()), block.size()));
+    return codes::fletcher16_extend_zeros(
+        codes::fletcher16(std::span<const std::uint8_t>(
+            as_bytes(block.data()), block.size())),
+        padding(group_size_, block.size()));
   }
+  void fold(std::span<std::uint32_t> state,
+            std::span<const std::uint8_t* const> rows,
+            std::int64_t /*first_slot*/) const override {
+    codes::fletcher16_fold(state, rows);
+  }
+  void finish(std::span<std::uint32_t> state) const override {
+    for (std::uint32_t& x : state) x = codes::fletcher16_finish(x);
+  }
+
+ private:
+  std::int64_t group_size_;
 };
 
 class HammingBlockCode : public BlockCode {
@@ -37,12 +82,44 @@ class HammingBlockCode : public BlockCode {
       : code_(group_size * 8) {}
   int code_bits() const override { return code_.storage_bits(); }
   std::uint32_t compute(std::span<const std::int8_t> block) const override {
+    // encode() reads bits past the end of the block as zero padding.
+    RADAR_REQUIRE(static_cast<std::int64_t>(block.size()) * 8 <=
+                      code_.data_bits(),
+                  "block larger than the group");
     return code_.encode_i8(block);
+  }
+  void fold(std::span<std::uint32_t> state,
+            std::span<const std::uint8_t* const> rows,
+            std::int64_t first_slot) const override {
+    codes::HammingSecDed::ByteTerms terms[kRowsPerFold] = {};
+    RADAR_REQUIRE(rows.size() <= std::size(terms), "too many rows per fold");
+    for (std::size_t j = 0; j < rows.size(); ++j)
+      terms[j] = code_.byte_terms(first_slot + static_cast<std::int64_t>(j));
+    code_.fold(state, rows, terms);
+  }
+  void finish(std::span<std::uint32_t> state) const override {
+    for (std::uint32_t& x : state) x = code_.finish(x);
   }
 
  private:
   codes::HammingSecDed code_;
 };
+
+/// Copies columns [c, c + n) (mod ng) of one interleaved row into `dst`,
+/// at most two contiguous pieces; columns at or past the row's real
+/// length `len` (padding) become zero.
+void stage_row(std::uint8_t* dst, const std::uint8_t* row, std::int64_t len,
+               std::int64_t ng, std::int64_t c, std::int64_t n) {
+  while (n > 0) {
+    const std::int64_t piece = std::min(n, ng - c);
+    const std::int64_t real = std::clamp(len - c, std::int64_t{0}, piece);
+    if (real > 0) std::memcpy(dst, row + c, static_cast<std::size_t>(real));
+    std::memset(dst + real, 0, static_cast<std::size_t>(piece - real));
+    dst += piece;
+    n -= piece;
+    c = 0;
+  }
+}
 
 /// Gather `group` of a layer's codes `q` into `block` (group_size bytes);
 /// padding slots become zero.
@@ -66,11 +143,15 @@ BlockCodeFactory crc_block_code(int width) {
     default:
       RADAR_REQUIRE(false, "no CRC preset of width " + std::to_string(width));
   }
-  return [spec](std::int64_t) { return std::make_unique<CrcBlockCode>(spec); };
+  return [spec](std::int64_t group_size) {
+    return std::make_unique<CrcBlockCode>(spec, group_size);
+  };
 }
 
 BlockCodeFactory fletcher16_block_code() {
-  return [](std::int64_t) { return std::make_unique<Fletcher16BlockCode>(); };
+  return [](std::int64_t group_size) {
+    return std::make_unique<Fletcher16BlockCode>(group_size);
+  };
 }
 
 BlockCodeFactory hamming_secded_block_code() {
@@ -102,21 +183,84 @@ void GroupedCodeScheme::require_attached_to(
                 "scheme not attached to this model");
 }
 
-template <class Groups>
-void GroupedCodeScheme::scan_groups(const quant::QuantizedModel& qm,
-                                    std::size_t layer, const Groups& groups,
-                                    std::vector<std::int64_t>& flagged,
-                                    ScanScratch& scratch) const {
+template <class Fn>
+void GroupedCodeScheme::for_each_word(const quant::QuantizedModel& qm,
+                                      std::size_t layer,
+                                      std::int64_t group_begin,
+                                      std::int64_t group_end,
+                                      ScanScratch& scratch, Fn&& fn) const {
   const GroupLayout& layout = layouts_[layer];
-  const PackedWordStore& golden = golden_[layer];
   const std::span<const std::int8_t> q = qm.layer(layer).q;
-  scratch.block.resize(static_cast<std::size_t>(layout.group_size()));
-  const std::span<std::int8_t> block(scratch.block);
-  flagged.clear();
-  for (const std::int64_t g : groups) {
-    gather(q, layout, g, block);
-    if (code_->compute(block) != golden.get(g)) flagged.push_back(g);
+  const std::int64_t g = layout.group_size();
+  const std::int64_t ng = layout.num_groups();
+  const std::int64_t w = layout.num_weights();
+  RADAR_REQUIRE(static_cast<std::int64_t>(q.size()) == w,
+                "weight buffer size does not match layout");
+  if (!layout.is_interleaved() || ng == 1) {
+    // Contiguous groups (a one-group interleaved layout is the same
+    // layout) are runs of bytes, coded in place; the tail group's missing
+    // slots are the padding compute() supplies.
+    for (std::int64_t grp = group_begin; grp < group_end; ++grp) {
+      const std::int64_t base = grp * g;
+      fn(grp, code_->compute(q.subspan(static_cast<std::size_t>(base),
+                                       static_cast<std::size_t>(
+                                           std::min(g, w - base)))));
+    }
+    return;
   }
+  // Interleaved: row r holds slot r of every group, group grp at column
+  // (grp - skew*r) mod ng, so the window's columns in row r are one
+  // rotated run (at most two contiguous pieces) whose start steps back by
+  // skew mod ng per row. Each tile of up to kTileGroups groups folds the
+  // rows kRowsPerFold at a time: the rows' window pieces are staged side
+  // by side, so the code reads every row of the pass at the same offset.
+  const std::int64_t m = group_end - group_begin;
+  const std::int64_t tile = std::min(m, kTileGroups);
+  scratch.state.assign(static_cast<std::size_t>(m), 0u);
+  scratch.block.resize(static_cast<std::size_t>(kRowsPerFold * tile));
+  std::uint8_t* staged = reinterpret_cast<std::uint8_t*>(scratch.block.data());
+  const std::uint8_t* bytes = as_bytes(q.data());
+  const std::int64_t step = layout.skew() % ng;
+  const std::uint8_t* rows[kRowsPerFold] = {};
+  for (std::int64_t k0 = 0; k0 < m; k0 += tile) {
+    const std::int64_t n = std::min(tile, m - k0);
+    const std::span<std::uint32_t> state(
+        scratch.state.data() + k0, static_cast<std::size_t>(n));
+    std::int64_t c = group_begin + k0;  // the tile's first column, row 0
+    for (std::int64_t r0 = 0; r0 < g; r0 += kRowsPerFold) {
+      const std::int64_t nrows = std::min(kRowsPerFold, g - r0);
+      for (std::int64_t j = 0; j < nrows; ++j) {
+        const std::int64_t base = (r0 + j) * ng;
+        const std::int64_t len = std::clamp(w - base, std::int64_t{0}, ng);
+        if (c + n <= len) {
+          rows[j] = bytes + base + c;  // one real piece: read in place
+        } else {
+          std::uint8_t* dst = staged + j * n;
+          stage_row(dst, len > 0 ? bytes + base : nullptr, len, ng, c, n);
+          rows[j] = dst;
+        }
+        c -= step;
+        if (c < 0) c += ng;
+      }
+      code_->fold(state, {rows, static_cast<std::size_t>(nrows)}, r0);
+    }
+  }
+  code_->finish(scratch.state);
+  for (std::int64_t k = 0; k < m; ++k)
+    fn(group_begin + k, scratch.state[static_cast<std::size_t>(k)]);
+}
+
+void GroupedCodeScheme::scan_range(const quant::QuantizedModel& qm,
+                                   std::size_t layer, std::int64_t group_begin,
+                                   std::int64_t group_end,
+                                   std::vector<std::int64_t>& flagged,
+                                   ScanScratch& scratch) const {
+  const PackedWordStore& golden = golden_[layer];
+  flagged.clear();
+  for_each_word(qm, layer, group_begin, group_end, scratch,
+                [&](std::int64_t grp, std::uint32_t word) {
+                  if (word != golden.get(grp)) flagged.push_back(grp);
+                });
 }
 
 void GroupedCodeScheme::scan_layer_into(const quant::QuantizedModel& qm,
@@ -124,9 +268,8 @@ void GroupedCodeScheme::scan_layer_into(const quant::QuantizedModel& qm,
                                         std::vector<std::int64_t>& flagged,
                                         ScanScratch& scratch) const {
   require_attached_to(qm);
-  scan_groups(qm, layer,
-              std::views::iota(std::int64_t{0}, layouts_[layer].num_groups()),
-              flagged, scratch);
+  RADAR_REQUIRE(layer < layouts_.size(), "layer out of range");
+  scan_range(qm, layer, 0, layouts_[layer].num_groups(), flagged, scratch);
 }
 
 void GroupedCodeScheme::scan_layer_groups(const quant::QuantizedModel& qm,
@@ -135,7 +278,15 @@ void GroupedCodeScheme::scan_layer_groups(const quant::QuantizedModel& qm,
                                           std::vector<std::int64_t>& flagged,
                                           ScanScratch& scratch) const {
   require_attached_to(qm);
-  scan_groups(qm, layer, groups, flagged, scratch);
+  const GroupLayout& layout = layouts_.at(layer);
+  const PackedWordStore& golden = golden_[layer];
+  const std::span<const std::int8_t> q = qm.layer(layer).q;
+  scratch.block.resize(static_cast<std::size_t>(layout.group_size()));
+  flagged.clear();
+  for (const std::int64_t g : groups) {
+    gather(q, layout, g, scratch.block);
+    if (code_->compute(scratch.block) != golden.get(g)) flagged.push_back(g);
+  }
 }
 
 void GroupedCodeScheme::scan_layer_range_into(
@@ -147,10 +298,7 @@ void GroupedCodeScheme::scan_layer_range_into(
                     group_begin <= group_end &&
                     group_end <= layouts_[layer].num_groups(),
                 "group range out of bounds");
-  // Block codes pay per gathered group either way, so a range scan is the
-  // full-scan loop bounded to [group_begin, group_end).
-  scan_groups(qm, layer, std::views::iota(group_begin, group_end), flagged,
-              scratch);
+  scan_range(qm, layer, group_begin, group_end, flagged, scratch);
 }
 
 void GroupedCodeScheme::resign_layer(const quant::QuantizedModel& qm,
@@ -158,13 +306,12 @@ void GroupedCodeScheme::resign_layer(const quant::QuantizedModel& qm,
   RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
                 "scheme not attached to this model");
   RADAR_REQUIRE(layer < layouts_.size(), "layer out of range");
-  const GroupLayout& layout = layouts_[layer];
-  const std::span<const std::int8_t> q = qm.layer(layer).q;
-  std::vector<std::int8_t> block(static_cast<std::size_t>(layout.group_size()));
-  for (std::int64_t g = 0; g < layout.num_groups(); ++g) {
-    gather(q, layout, g, block);
-    golden_[layer].set(g, code_->compute(block));
-  }
+  ScanScratch scratch;
+  PackedWordStore& golden = golden_[layer];
+  for_each_word(qm, layer, 0, layouts_[layer].num_groups(), scratch,
+                [&](std::int64_t grp, std::uint32_t word) {
+                  golden.set(grp, word);
+                });
 }
 
 std::int64_t GroupedCodeScheme::signature_storage_bytes() const {

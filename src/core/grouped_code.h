@@ -5,10 +5,26 @@
 // CRC baseline can be interleaved and skewed exactly like the paper's
 // groups) but stores one `width`-bit code word per group instead of a
 // 2/3-bit signature: CRC-7/10/13/16 (Koopman & Chakravarty, DSN'04),
-// Fletcher-16, and Hamming SEC-DED check words. Groups are gathered into a
-// fixed group_size-byte block (padding slots are zero, mirroring the
-// checksum's treatment of padding), so every group of a layer — including
-// the tail group — uses the same code instance.
+// Fletcher-16, and Hamming SEC-DED check words. A group's word is its
+// code over a fixed group_size-byte block in slot order, padding slots
+// reading as zero (mirroring the checksum's treatment of padding), so
+// every group of a layer — the tail group included — uses the same code
+// instance.
+//
+// Full, range and re-sign passes never gather a group. Under the skewed
+// interleaver row r of a layer (bytes [r*Ng, (r+1)*Ng)) holds slot r of
+// every group, rotated by (skew*r) mod Ng — the row structure
+// LayerScanner uses — so those passes stream the layer once: each row's
+// window of groups (at most two contiguous pieces) is read in place, or
+// staged into ScanScratch when it wraps or reaches padding, and folded
+// eight rows at a time into one 32-bit state per group, also kept in
+// ScanScratch: a CRC register (one slicing-by-8 step per eight rows), a
+// Hamming syndrome + parity, or the two Fletcher sums. No code keeps a
+// table that grows with group_size. A contiguous group is a run of bytes
+// and is coded in place; compute() reads a short tail group's missing
+// slots as padding. Dirty rescans of a few groups (scan_layer_groups)
+// gather each group and call BlockCode::compute — the dense/sparse split
+// RadarScheme has between masked_sums_into and group_signature_at.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +43,22 @@ class BlockCode {
   virtual ~BlockCode() = default;
   /// Stored bits per group.
   virtual int code_bits() const = 0;
-  /// Check word of one gathered group block.
+  /// Check word of one group block of up to group_size bytes; slots past
+  /// the end of `block` are padding (zero), so a contiguous tail group is
+  /// coded in place.
   virtual std::uint32_t compute(std::span<const std::int8_t> block)
       const = 0;
+  /// Row-streaming form: a check word is a left fold of one 32-bit state
+  /// per group, starting at 0, over the group's slots in order (padding
+  /// slots are zero bytes). Advances every state in `state` by
+  /// rows.size() consecutive slots, the first being `first_slot`:
+  /// rows[j][k] is state[k]'s byte in slot first_slot + j.
+  virtual void fold(std::span<std::uint32_t> state,
+                    std::span<const std::uint8_t* const> rows,
+                    std::int64_t first_slot) const = 0;
+  /// Replaces each state, folded over all group_size slots, with its
+  /// check word; that word equals compute() over the gathered block.
+  virtual void finish(std::span<std::uint32_t> state) const = 0;
 };
 
 /// Factory: codes whose geometry depends on the group size (e.g. Hamming
@@ -72,12 +101,18 @@ class GroupedCodeScheme : public SchemeBase {
 
  private:
   void require_attached_to(const quant::QuantizedModel& qm) const;
-  /// The one scan loop: gather, compute and compare each group of
-  /// `groups` (any range of group ids), appending mismatches to `flagged`.
-  template <class Groups>
-  void scan_groups(const quant::QuantizedModel& qm, std::size_t layer,
-                   const Groups& groups, std::vector<std::int64_t>& flagged,
-                   ScanScratch& scratch) const;
+  /// Computes the check words of groups [group_begin, group_end) of one
+  /// layer in a single streaming pass and calls fn(group, word) for each,
+  /// in ascending group order.
+  template <class Fn>
+  void for_each_word(const quant::QuantizedModel& qm, std::size_t layer,
+                     std::int64_t group_begin, std::int64_t group_end,
+                     ScanScratch& scratch, Fn&& fn) const;
+  /// Scans groups [group_begin, group_end) into `flagged`.
+  void scan_range(const quant::QuantizedModel& qm, std::size_t layer,
+                  std::int64_t group_begin, std::int64_t group_end,
+                  std::vector<std::int64_t>& flagged,
+                  ScanScratch& scratch) const;
 
   BlockCodeFactory make_code_;
   std::unique_ptr<BlockCode> code_;  ///< built on attach

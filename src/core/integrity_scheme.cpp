@@ -98,8 +98,9 @@ DetectionReport SchemeBase::scan(const quant::QuantizedModel& qm) const {
                 "scheme not attached to this model");
   DetectionReport report;
   report.flagged.resize(qm.num_layers());
+  ScanScratch scratch;  // one working set for every layer
   for (std::size_t li = 0; li < qm.num_layers(); ++li)
-    report.flagged[li] = scan_layer(qm, li);
+    scan_layer_into(qm, li, report.flagged[li], scratch);
   return report;
 }
 

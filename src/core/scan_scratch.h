@@ -15,9 +15,10 @@
 namespace radar::core {
 
 struct ScanScratch {
-  std::vector<std::int8_t> block;   ///< gathered group block (grouped codes)
-  std::vector<std::int32_t> acc;    ///< per-group 32-bit accumulators
-  std::vector<std::int64_t> sums;   ///< per-group masked sums
+  std::vector<std::int8_t> block;    ///< grouped codes: gather / staged rows
+  std::vector<std::uint32_t> state;  ///< grouped codes: per-group fold state
+  std::vector<std::int32_t> acc;     ///< per-group 32-bit accumulators
+  std::vector<std::int64_t> sums;    ///< per-group masked sums
 };
 
 }  // namespace radar::core

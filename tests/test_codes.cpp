@@ -2,6 +2,8 @@
 // SEC-DED behaviour, Fletcher/addition checksums.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -321,6 +323,175 @@ TEST(AdditionChecksum, BlindToCancellingPair) {
   data[0] += 5;
   data[1] -= 5;
   EXPECT_EQ(addition_checksum(data, 16), clean);
+}
+
+// ---- row-streaming folds and zero extension ----
+//
+// The grouped-code scans fold many blocks at once, one byte of each per
+// row, and code contiguous tail groups without copying their padding.
+// Each entry point must equal the plain whole-block code.
+
+/// `blocks` random blocks of `len` bytes, block-major.
+std::vector<std::vector<std::uint8_t>> random_blocks(Rng& rng,
+                                                     std::size_t blocks,
+                                                     std::size_t len) {
+  std::vector<std::vector<std::uint8_t>> out(blocks,
+                                             std::vector<std::uint8_t>(len));
+  for (auto& block : out)
+    for (auto& b : block) b = static_cast<std::uint8_t>(rng.bits() & 0xFF);
+  return out;
+}
+
+/// Row j of `blocks` (byte j of every block), and pointers to `count`
+/// such rows starting at `first`.
+std::vector<std::vector<std::uint8_t>> rows_of(
+    const std::vector<std::vector<std::uint8_t>>& blocks) {
+  std::vector<std::vector<std::uint8_t>> rows(blocks[0].size());
+  for (std::size_t j = 0; j < rows.size(); ++j)
+    for (const auto& block : blocks) rows[j].push_back(block[j]);
+  return rows;
+}
+std::vector<const std::uint8_t*> row_ptrs(
+    const std::vector<std::vector<std::uint8_t>>& rows, std::size_t first,
+    std::size_t count) {
+  std::vector<const std::uint8_t*> out;
+  for (std::size_t j = first; j < first + count; ++j)
+    out.push_back(rows[j].data());
+  return out;
+}
+
+// Block lengths straddle the 8-row fused step; the fold is called with
+// pass sizes 1..11 so fused runs, leftover rows and their seams all occur.
+constexpr std::size_t kFoldLens[] = {1, 7, 8, 9, 16, 23, 64};
+
+TEST(Crc, RowFoldEqualsCompute) {
+  Rng rng(17);
+  for (const auto& spec : {CrcSpec::crc7(), CrcSpec::crc13(),
+                           CrcSpec::crc16_ccitt(), CrcSpec::crc32()}) {
+    const Crc crc(spec);
+    for (const std::size_t len : kFoldLens) {
+      const auto blocks = random_blocks(rng, 13, len);
+      const auto rows = rows_of(blocks);
+      for (std::size_t pass = 1; pass <= 11; ++pass) {
+        std::vector<std::uint32_t> regs(blocks.size(), 0);
+        for (std::size_t j = 0; j < len; j += pass) {
+          const auto p = row_ptrs(rows, j, std::min(pass, len - j));
+          crc.fold(regs, p);
+        }
+        for (std::size_t k = 0; k < blocks.size(); ++k)
+          EXPECT_EQ(crc.finish(regs[k]), crc.compute_bitwise(blocks[k]))
+              << spec.name << " len " << len << " pass " << pass;
+      }
+    }
+  }
+}
+
+TEST(Crc, ExtendZerosEqualsZeroPaddedCompute) {
+  Rng rng(3);
+  for (const auto& spec : {CrcSpec::crc7(), CrcSpec::crc13(),
+                           CrcSpec::crc16_ccitt(), CrcSpec::crc32()}) {
+    const Crc crc(spec);
+    for (const std::size_t len : {0, 1, 5, 40}) {
+      std::vector<std::uint8_t> data(len);
+      for (auto& b : data) b = static_cast<std::uint8_t>(rng.bits() & 0xFF);
+      for (const std::int64_t zeros : {0, 1, 15, 16, 17, 33, 1000}) {
+        std::vector<std::uint8_t> padded = data;
+        padded.resize(len + static_cast<std::size_t>(zeros), 0);
+        EXPECT_EQ(crc.extend_zeros(crc.compute(data), zeros),
+                  crc.compute_bitwise(padded))
+            << spec.name << " len " << len << " zeros " << zeros;
+      }
+    }
+  }
+  EXPECT_THROW(Crc(CrcSpec::crc13()).extend_zeros(0, -1),
+               radar::InvalidArgument);
+}
+
+TEST(Hamming, DataBitPositionIsClosedForm) {
+  for (std::int64_t i = 0; i < 70000; ++i)
+    ASSERT_EQ(HammingSecDed::data_bit_position(i),
+              std::int64_t{reference_position(i)})
+        << "data bit " << i;
+  // Around the largest block a grouped code can have (2^27 data bits).
+  for (const std::int64_t i :
+       {(std::int64_t{1} << 27) - 30, (std::int64_t{1} << 27) - 1}) {
+    const std::int64_t p = HammingSecDed::data_bit_position(i);
+    EXPECT_EQ(p, i + 1 + static_cast<std::int64_t>(std::bit_width(
+                             static_cast<std::uint64_t>(p))));
+    EXPECT_NE(p & (p - 1), 0);  // never a parity (power-of-two) position
+  }
+}
+
+TEST(Hamming, RowFoldEqualsEncode) {
+  Rng rng(29);
+  for (const std::size_t len : kFoldLens) {
+    const HammingSecDed code(static_cast<std::int64_t>(len) * 8);
+    const auto blocks = random_blocks(rng, 13, len);
+    const auto rows = rows_of(blocks);
+    for (std::size_t pass = 1; pass <= 11; ++pass) {
+      std::vector<std::uint32_t> states(blocks.size(), 0);
+      for (std::size_t j = 0; j < len; j += pass) {
+        const std::size_t count = std::min(pass, len - j);
+        std::vector<HammingSecDed::ByteTerms> terms;
+        for (std::size_t r = 0; r < count; ++r)
+          terms.push_back(code.byte_terms(static_cast<std::int64_t>(j + r)));
+        code.fold(states, row_ptrs(rows, j, count), terms.data());
+      }
+      for (std::size_t k = 0; k < blocks.size(); ++k)
+        EXPECT_EQ(code.finish(states[k]), code.encode(blocks[k]))
+            << "len " << len << " pass " << pass;
+    }
+  }
+  EXPECT_THROW(HammingSecDed(64).byte_terms(8), radar::InvalidArgument);
+}
+
+TEST(Hamming, ShortDataIsZeroPadded) {
+  Rng rng(31);
+  for (const std::int64_t data_bits : {64, 4096}) {
+    const HammingSecDed code(data_bits);
+    for (const std::size_t len : {0, 1, 3, 7}) {
+      std::vector<std::uint8_t> data(len);
+      for (auto& b : data) b = static_cast<std::uint8_t>(rng.bits() & 0xFF);
+      std::vector<std::uint8_t> padded = data;
+      padded.resize(static_cast<std::size_t>(data_bits / 8), 0);
+      EXPECT_EQ(code.encode(data), code.encode(padded))
+          << "data_bits " << data_bits << " len " << len;
+      EXPECT_TRUE(code.check(data, code.encode(padded)).ok);
+    }
+  }
+}
+
+TEST(Fletcher, RowFoldEqualsFletcher16) {
+  Rng rng(37);
+  for (const std::size_t len : kFoldLens) {
+    // All-0xFF blocks drive both sums through their reduction edge.
+    auto blocks = random_blocks(rng, 13, len);
+    std::fill(blocks[0].begin(), blocks[0].end(), std::uint8_t{0xFF});
+    const auto rows = rows_of(blocks);
+    for (std::size_t pass = 1; pass <= 11; ++pass) {
+      std::vector<std::uint32_t> states(blocks.size(), 0);
+      for (std::size_t j = 0; j < len; j += pass)
+        fletcher16_fold(states, row_ptrs(rows, j, std::min(pass, len - j)));
+      for (std::size_t k = 0; k < blocks.size(); ++k)
+        EXPECT_EQ(fletcher16_finish(states[k]), fletcher16(blocks[k]))
+            << "len " << len << " pass " << pass;
+    }
+  }
+}
+
+TEST(Fletcher, ExtendZerosEqualsZeroPaddedFletcher16) {
+  Rng rng(41);
+  for (const std::size_t len : {0, 1, 9, 300}) {
+    std::vector<std::uint8_t> data(len);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.bits() & 0xFF);
+    for (const std::int64_t zeros : {0, 1, 254, 255, 256, 5000}) {
+      std::vector<std::uint8_t> padded = data;
+      padded.resize(len + static_cast<std::size_t>(zeros), 0);
+      EXPECT_EQ(fletcher16_extend_zeros(fletcher16(data), zeros),
+                fletcher16(padded))
+          << "len " << len << " zeros " << zeros;
+    }
+  }
 }
 
 }  // namespace

@@ -211,27 +211,40 @@ TEST_F(ScanSchedulerTest, RangeScanEqualsTrimmedFullScanPerLayer) {
 }
 
 TEST_F(ScanSchedulerTest, SerialScanLoopIsAllocationFreeAtSteadyState) {
-  ScanScheduler sched;
-  sched.plan(*scheme_, {});
-  qm_.set_dirty_tracking(true);
-  DetectionReport inc;
-  flip(1, 3);
-  // Warm-up: scratch and report vectors grow to their high-water mark
-  // (two sweeps, so both the building and the finished report have).
-  sched.sweep(qm_);
-  sched.sweep(qm_);
-  sched.scan_dirty_into(qm_, inc);
-  const std::size_t before = g_alloc_count.load();
-  for (int round = 0; round < 5; ++round) {
+  // radar2 plus a block code on both layouts: the interleaved code's
+  // per-group fold state and staged rows must come from ScanScratch too.
+  auto crc_interleaved = SchemeRegistry::instance().create(
+      "crc13", SchemeParams{.group_size = 32});
+  auto crc_contiguous = SchemeRegistry::instance().create(
+      "crc13", SchemeParams{.group_size = 32, .interleave = false});
+  for (IntegrityScheme* scheme :
+       {scheme_.get(), crc_interleaved.get(), crc_contiguous.get()}) {
+    SCOPED_TRACE(scheme->id() + (scheme->params().interleave
+                                     ? " interleaved"
+                                     : " contiguous"));
+    if (!scheme->attached()) scheme->attach(qm_);
+    ScanScheduler sched;
+    sched.plan(*scheme, {});
+    qm_.set_dirty_tracking(true);
+    DetectionReport inc;
+    flip(1, 3);
+    // Warm-up: scratch and report vectors grow to their high-water mark
+    // (two sweeps, so both the building and the finished report have).
+    sched.sweep(qm_);
     sched.sweep(qm_);
     sched.scan_dirty_into(qm_, inc);
+    const std::size_t before = g_alloc_count.load();
+    for (int round = 0; round < 5; ++round) {
+      sched.sweep(qm_);
+      sched.scan_dirty_into(qm_, inc);
+    }
+    EXPECT_EQ(g_alloc_count.load() - before, 0u)
+        << "steady-state scan loop allocated";
+    EXPECT_EQ(sched.last_sweep_report().flagged, inc.flagged);
+    EXPECT_TRUE(inc.attack_detected());
+    qm_.undo_dirty();
+    qm_.set_dirty_tracking(false);
   }
-  EXPECT_EQ(g_alloc_count.load() - before, 0u)
-      << "steady-state scan loop allocated";
-  EXPECT_EQ(sched.last_sweep_report().flagged, inc.flagged);
-  EXPECT_TRUE(inc.attack_detected());
-  qm_.undo_dirty();
-  qm_.set_dirty_tracking(false);
 }
 
 TEST_F(ScanSchedulerTest, UnattachedSchemeRejected) {

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
+#include "codes/crc.h"
+#include "codes/fletcher.h"
+#include "codes/hamming.h"
 #include "common/bits.h"
 #include "core/grouped_code.h"
 #include "core/scheme.h"
@@ -138,29 +142,80 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Grouped-code differential: every scan entry point of every block-code
-// scheme must flag exactly the groups a slot-by-slot reference flags. The
-// reference gathers through GroupLayout::member() and calls code().compute()
-// directly, so it shares neither the member walk nor the golden store with
-// the scheme.
+// scheme must flag exactly the groups a slot-by-slot reference flags. Two
+// references gather through GroupLayout::member(), sharing neither the
+// member walk, the row folds nor the golden store with the scheme: one
+// calls code().compute() on the gathered block, the other the codes-level
+// functions (the bit-serial CRC, HammingSecDed::encode, fletcher16).
 class GroupedScanDifferential
     : public ::testing::TestWithParam<
           std::tuple<std::string, std::int64_t, bool>> {};
+
+std::vector<std::int8_t> member_block(const GroupLayout& layout,
+                                      std::span<const std::int8_t> q,
+                                      std::int64_t g) {
+  std::vector<std::int8_t> block(static_cast<std::size_t>(layout.group_size()));
+  for (std::int64_t s = 0; s < layout.group_size(); ++s) {
+    const std::int64_t i = layout.member(g, s);
+    block[static_cast<std::size_t>(s)] =
+        i < 0 ? std::int8_t{0} : q[static_cast<std::size_t>(i)];
+  }
+  return block;
+}
 
 std::vector<std::uint32_t> reference_words(const GroupedCodeScheme& scheme,
                                            const quant::QuantizedModel& qm,
                                            std::size_t layer) {
   const GroupLayout& layout = scheme.layout(layer);
-  const auto q = qm.layer(layer).q;
   std::vector<std::uint32_t> words;
-  std::vector<std::int8_t> block(static_cast<std::size_t>(layout.group_size()));
-  for (std::int64_t g = 0; g < layout.num_groups(); ++g) {
-    for (std::int64_t s = 0; s < layout.group_size(); ++s) {
-      const std::int64_t i = layout.member(g, s);
-      block[static_cast<std::size_t>(s)] =
-          i < 0 ? std::int8_t{0} : q[static_cast<std::size_t>(i)];
-    }
-    words.push_back(scheme.code().compute(block));
-  }
+  for (std::int64_t g = 0; g < layout.num_groups(); ++g)
+    words.push_back(
+        scheme.code().compute(member_block(layout, qm.layer(layer).q, g)));
+  return words;
+}
+
+/// The codes-level check word of one gathered block for registry id `id`.
+std::uint32_t codes_word(const std::string& id,
+                         const std::vector<std::int8_t>& block) {
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(block.data()), block.size());
+  if (id == "fletcher") return codes::fletcher16(bytes);
+  if (id == "hamming-secded")
+    return codes::HammingSecDed(static_cast<std::int64_t>(block.size()) * 8)
+        .encode(bytes);
+  const codes::CrcSpec spec = id == "crc7"    ? codes::CrcSpec::crc7()
+                              : id == "crc10" ? codes::CrcSpec::crc10()
+                              : id == "crc13" ? codes::CrcSpec::crc13()
+                                              : codes::CrcSpec::crc16_ccitt();
+  EXPECT_TRUE(id == "crc7" || id == "crc10" || id == "crc13" || id == "crc16")
+      << id;
+  return codes::Crc(spec).compute_bitwise(bytes);
+}
+
+/// Second reference: codes-level words of every group of one layer; also
+/// checks they agree with reference_words.
+std::vector<std::uint32_t> codes_reference_words(
+    const GroupedCodeScheme& scheme, const quant::QuantizedModel& qm,
+    std::size_t layer) {
+  const GroupLayout& layout = scheme.layout(layer);
+  std::vector<std::uint32_t> words;
+  for (std::int64_t g = 0; g < layout.num_groups(); ++g)
+    words.push_back(
+        codes_word(scheme.id(), member_block(layout, qm.layer(layer).q, g)));
+  EXPECT_EQ(words, reference_words(scheme, qm, layer))
+      << scheme.id() << " layer " << layer;
+  return words;
+}
+
+/// The golden words the scheme stores, decoded from export_golden().
+std::vector<std::uint32_t> exported_words(const GroupedCodeScheme& scheme,
+                                          std::size_t layer) {
+  const GroupLayout& layout = scheme.layout(layer);
+  PackedWordStore store(layout.num_groups(), scheme.code().code_bits());
+  store.set_packed(scheme.export_golden()[layer]);
+  std::vector<std::uint32_t> words;
+  for (std::int64_t g = 0; g < layout.num_groups(); ++g)
+    words.push_back(store.get(g));
   return words;
 }
 
@@ -178,8 +233,11 @@ TEST_P(GroupedScanDifferential, AllScanPathsMatchMemberReference) {
   scheme->attach(qm);
 
   std::vector<std::vector<std::uint32_t>> golden;
-  for (std::size_t li = 0; li < qm.num_layers(); ++li)
-    golden.push_back(reference_words(*scheme, qm, li));
+  for (std::size_t li = 0; li < qm.num_layers(); ++li) {
+    golden.push_back(codes_reference_words(*scheme, qm, li));
+    EXPECT_EQ(exported_words(*scheme, li), golden.back())
+        << id << " golden words of layer " << li;
+  }
 
   ScanScratch scratch;
   std::vector<std::int64_t> flagged;
@@ -192,7 +250,7 @@ TEST_P(GroupedScanDifferential, AllScanPathsMatchMemberReference) {
       qm.flip_bit(li, rng.uniform_int(0, qm.layer(li).size() - 1), kMsb);
     }
     for (std::size_t li = 0; li < qm.num_layers(); ++li) {
-      const auto words = reference_words(*scheme, qm, li);
+      const auto words = codes_reference_words(*scheme, qm, li);
       std::vector<std::int64_t> expected;
       for (std::size_t g = 0; g < words.size(); ++g)
         if (words[g] != golden[li][g])
@@ -246,6 +304,138 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
+
+// Edge geometries on a model whose layers hold 27, 9, 9 and 5 weights:
+// W % G != 0 (a partial last row), Ng <= skew (W=5, G=4: Ng=2 < 3; W=9,
+// G=4: Ng == skew, so rows do not rotate), Ng == 1, G == 1, skew 0, a
+// skew larger than Ng, all-padding rows (W=27, G=8 or 12), and more rows
+// than one fold pass takes (G=12, 16). Every range window [b, e) is
+// scanned, so windows that wrap past column Ng-1 are all covered.
+class GroupedScanEdgeGeometry
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, std::tuple<std::int64_t, std::int64_t>,
+                     bool>> {};
+
+TEST_P(GroupedScanEdgeGeometry, EveryScanPathMatchesTheReferences) {
+  const auto& [id, geometry, interleave] = GetParam();
+  const auto [group_size, skew] = geometry;
+  nn::ResNetSpec spec;
+  spec.in_channels = 3;
+  spec.num_classes = 5;
+  spec.base_width = 1;
+  spec.blocks_per_stage = {1};
+  spec.name = "edge";
+  Rng rng(static_cast<std::uint64_t>(group_size * 131 + skew));
+  nn::ResNet model(spec, rng);
+  quant::QuantizedModel qm(model);
+  ASSERT_EQ(qm.layer(0).size(), 27);
+  ASSERT_EQ(qm.layer(qm.num_layers() - 1).size(), 5);
+  SchemeParams params;
+  params.group_size = group_size;
+  params.interleave = interleave;
+  params.skew = skew;
+  auto owned = SchemeRegistry::instance().create(id, params);
+  auto* scheme = dynamic_cast<GroupedCodeScheme*>(owned.get());
+  ASSERT_NE(scheme, nullptr);
+  scheme->attach(qm);
+
+  std::vector<std::vector<std::uint32_t>> golden;
+  for (std::size_t li = 0; li < qm.num_layers(); ++li) {
+    golden.push_back(codes_reference_words(*scheme, qm, li));
+    EXPECT_EQ(exported_words(*scheme, li), golden.back()) << "layer " << li;
+  }
+  ScanScratch scratch;
+  std::vector<std::int64_t> flagged;
+  for (int round = 0; round < 3; ++round) {
+    const quant::ArenaSnapshot clean = qm.snapshot();
+    for (int f = 0; f < 1 + round; ++f) {
+      const auto li = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(qm.num_layers()) - 1));
+      qm.flip_bit(li, rng.uniform_int(0, qm.layer(li).size() - 1),
+                  static_cast<int>(rng.uniform_int(0, 7)));
+    }
+    for (std::size_t li = 0; li < qm.num_layers(); ++li) {
+      const auto words = codes_reference_words(*scheme, qm, li);
+      const auto ng = static_cast<std::int64_t>(words.size());
+      std::vector<std::int64_t> expected;
+      for (std::int64_t g = 0; g < ng; ++g)
+        if (words[static_cast<std::size_t>(g)] !=
+            golden[li][static_cast<std::size_t>(g)])
+          expected.push_back(g);
+      scheme->scan_layer_into(qm, li, flagged, scratch);
+      EXPECT_EQ(flagged, expected) << "layer " << li;
+      std::vector<std::int64_t> all(static_cast<std::size_t>(ng));
+      std::iota(all.begin(), all.end(), std::int64_t{0});
+      scheme->scan_layer_groups(qm, li, all, flagged, scratch);
+      EXPECT_EQ(flagged, expected) << "layer " << li;
+      for (std::int64_t b = 0; b < ng; ++b) {
+        for (std::int64_t e = b; e <= ng; ++e) {
+          std::vector<std::int64_t> expected_range;
+          for (const std::int64_t g : expected)
+            if (g >= b && g < e) expected_range.push_back(g);
+          scheme->scan_layer_range_into(qm, li, b, e, flagged, scratch);
+          EXPECT_EQ(flagged, expected_range)
+              << "layer " << li << " range [" << b << ", " << e << ")";
+        }
+      }
+    }
+    qm.restore(clean);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BlockCodes, GroupedScanEdgeGeometry,
+    ::testing::Combine(
+        ::testing::Values("crc7", "crc13", "crc16", "fletcher",
+                          "hamming-secded"),
+        ::testing::Values(std::tuple<std::int64_t, std::int64_t>{1, 3},
+                          std::tuple<std::int64_t, std::int64_t>{2, 3},
+                          std::tuple<std::int64_t, std::int64_t>{4, 3},
+                          std::tuple<std::int64_t, std::int64_t>{4, 0},
+                          std::tuple<std::int64_t, std::int64_t>{5, 7},
+                          std::tuple<std::int64_t, std::int64_t>{8, 3},
+                          std::tuple<std::int64_t, std::int64_t>{12, 3},
+                          std::tuple<std::int64_t, std::int64_t>{16, 1},
+                          std::tuple<std::int64_t, std::int64_t>{64, 3}),
+        ::testing::Bool()),
+    [](const auto& info) {
+      const auto& geometry = std::get<1>(info.param);
+      std::string name = std::get<0>(info.param) + "_G" +
+                         std::to_string(std::get<0>(geometry)) + "_t" +
+                         std::to_string(std::get<1>(geometry)) +
+                         (std::get<2>(info.param) ? "_interleaved"
+                                                  : "_contiguous");
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+// No block code may size a table by group_size: at the largest group the
+// package loader accepts, every layer of `tiny` is one mostly-padding
+// group, which must still attach, scan clean and flag a flip. (Short,
+// zero-padded groups are checked against the references above.)
+TEST(GroupedCodeScheme, MaxGroupSizeAttachesAndScansClean) {
+  Rng rng(5);
+  nn::ResNet model(tiny_spec(), rng);
+  quant::QuantizedModel qm(model);
+  for (const std::string id : {"crc13", "hamming-secded"}) {
+    for (const bool interleave : {true, false}) {
+      SchemeParams params;
+      params.group_size = kMaxGroupSize;
+      params.interleave = interleave;
+      auto scheme = SchemeRegistry::instance().create(id, params);
+      scheme->attach(qm);
+      for (std::size_t li = 0; li < qm.num_layers(); ++li)
+        ASSERT_EQ(scheme->layout(li).num_groups(), 1);
+      EXPECT_FALSE(scheme->scan(qm).attack_detected()) << id;
+      qm.flip_bit(1, 0, kMsb);
+      const DetectionReport report = scheme->scan(qm);
+      EXPECT_EQ(report.num_flagged_groups(), 1) << id;
+      EXPECT_TRUE(report.is_flagged(1, 0)) << id;
+      qm.flip_bit(1, 0, kMsb);
+      EXPECT_FALSE(scheme->scan(qm).attack_detected()) << id;
+    }
+  }
+}
 
 TEST(SchemeRegistry, KnowsTheBuiltins) {
   auto& reg = SchemeRegistry::instance();
