@@ -51,6 +51,9 @@ inline constexpr const char* kQueueStall = "queue.stall";
 inline constexpr const char* kSocketPartialWrite = "socket.partial_write";
 inline constexpr const char* kSocketDisconnect = "socket.disconnect";
 inline constexpr const char* kWriterStall = "epoch.writer_stall";
+/// save_package stops its own process (SIGSTOP) after the weight payload
+/// and before the rename, so a crash test can kill a writer mid-write.
+inline constexpr const char* kPackageMidWrite = "package.mid_write";
 }  // namespace points
 
 /// How one armed point behaves.

@@ -1,10 +1,14 @@
 #include "core/package.h"
 
+#include <algorithm>
+#include <csignal>
 #include <cstring>
 
 #include "codes/crc.h"
+#include "common/fault_points.h"
 #include "common/serialize.h"
 #include "common/thread_pool.h"
+#include "data/model_recipe.h"
 #include "core/scan_scheduler.h"
 #include "core/scheme_registry.h"
 
@@ -31,6 +35,150 @@ std::uint32_t weights_crc(const quant::QuantizedModel& qm) {
     acc = (acc << 1) | (acc >> 31);  // order-sensitive combination
   }
   return acc;
+}
+
+std::uint32_t section_crc(std::span<const std::uint8_t> bytes) {
+  return codes::Crc(codes::CrcSpec::crc32()).compute(bytes);
+}
+
+/// The engine section is assembled in memory so its CRC can be written
+/// in the trailer; values are stored in host byte order like the rest of
+/// the file.
+class SectionWriter {
+ public:
+  template <typename T>
+  void put(T v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    bytes.insert(bytes.end(), p, p + sizeof(T));
+  }
+  void put_f32s(const std::vector<float>& v) {
+    put<std::uint64_t>(v.size());
+    for (const float f : v) put(f);
+  }
+  std::vector<std::uint8_t> bytes;
+};
+
+/// Bounds-checked reader over the engine section bytes.
+class SectionReader {
+ public:
+  explicit SectionReader(std::span<const std::uint8_t> bytes)
+      : bytes_(bytes) {}
+  template <typename T>
+  T get() {
+    if (sizeof(T) > remaining())
+      throw SerializationError("truncated engine section in package");
+    T v;
+    std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return v;
+  }
+  std::vector<float> get_f32s() {
+    const auto n = get<std::uint64_t>();
+    if (n > remaining() / sizeof(float))
+      throw SerializationError("corrupt engine vector length in package");
+    std::vector<float> v(static_cast<std::size_t>(n));
+    if (!v.empty())
+      std::memcpy(v.data(), bytes_.data() + pos_, v.size() * sizeof(float));
+    pos_ += v.size() * sizeof(float);
+    return v;
+  }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+  std::size_t pos_ = 0;
+};
+
+/// Smallest serialized op: kind + relu, three buffer ids, the layer
+/// index, seven shape fields, x_scale and two empty vector lengths.
+constexpr std::size_t kMinOpBytes = 2 + 3 * 4 + 8 + 7 * 8 + 4 + 2 * 8;
+constexpr std::uint8_t kMaxOpKind =
+    static_cast<std::uint8_t>(qnn::EngineOp::Kind::kFlatten);
+/// Trailer after the section bytes: u64 length + u32 CRC.
+constexpr std::uint64_t kSectionTrailerBytes = 8 + 4;
+
+std::vector<std::uint8_t> encode_engine(const qnn::EngineProgram& p) {
+  SectionWriter w;
+  w.put<std::int64_t>(p.in_channels);
+  w.put<std::int64_t>(p.num_classes);
+  w.put<std::int64_t>(p.calib_images);
+  w.put<std::uint64_t>(p.ops.size());
+  for (const qnn::EngineOp& op : p.ops) {
+    w.put(static_cast<std::uint8_t>(op.kind));
+    w.put<std::uint8_t>(op.relu ? 1 : 0);
+    w.put<std::int32_t>(op.src);
+    w.put<std::int32_t>(op.src2);
+    w.put<std::int32_t>(op.dst);
+    w.put<std::uint64_t>(op.qlayer);
+    w.put<std::int64_t>(op.geom.in_channels);
+    w.put<std::int64_t>(op.geom.out_channels);
+    w.put<std::int64_t>(op.geom.kernel);
+    w.put<std::int64_t>(op.geom.stride);
+    w.put<std::int64_t>(op.geom.padding);
+    w.put<std::int64_t>(op.in_features);
+    w.put<std::int64_t>(op.out_features);
+    w.put(op.x_scale);
+    w.put_f32s(op.out_scale);
+    w.put_f32s(op.out_bias);
+  }
+  return std::move(w.bytes);
+}
+
+/// Decodes the section and checks the program against the package's own
+/// layer table, so a corrupt program dies here rather than in a forward.
+qnn::EngineProgram decode_engine(std::span<const std::uint8_t> bytes,
+                                 const std::vector<quant::ArenaLayer>& layers) {
+  SectionReader r(bytes);
+  qnn::EngineProgram p;
+  p.in_channels = r.get<std::int64_t>();
+  p.num_classes = r.get<std::int64_t>();
+  p.calib_images = r.get<std::int64_t>();
+  const auto count = r.get<std::uint64_t>();
+  if (count > r.remaining() / kMinOpBytes)
+    throw SerializationError("corrupt engine op count in package");
+  p.ops.resize(static_cast<std::size_t>(count));
+  for (qnn::EngineOp& op : p.ops) {
+    const auto kind = r.get<std::uint8_t>();
+    if (kind > kMaxOpKind)
+      throw SerializationError("corrupt engine op kind in package");
+    op.kind = static_cast<qnn::EngineOp::Kind>(kind);
+    op.relu = r.get<std::uint8_t>() != 0;
+    op.src = r.get<std::int32_t>();
+    op.src2 = r.get<std::int32_t>();
+    op.dst = r.get<std::int32_t>();
+    // Clamped so the size_t narrowing cannot wrap an out-of-range index
+    // back into range; layers.size() itself fails program_defect.
+    op.qlayer = static_cast<std::size_t>(
+        std::min<std::uint64_t>(r.get<std::uint64_t>(), layers.size()));
+    op.geom.in_channels = r.get<std::int64_t>();
+    op.geom.out_channels = r.get<std::int64_t>();
+    op.geom.kernel = r.get<std::int64_t>();
+    op.geom.stride = r.get<std::int64_t>();
+    op.geom.padding = r.get<std::int64_t>();
+    op.in_features = r.get<std::int64_t>();
+    op.out_features = r.get<std::int64_t>();
+    op.x_scale = r.get<float>();
+    op.out_scale = r.get_f32s();
+    op.out_bias = r.get_f32s();
+  }
+  if (r.remaining() != 0)
+    throw SerializationError("trailing bytes in engine section of package");
+  std::vector<std::int64_t> sizes(layers.size());
+  for (std::size_t i = 0; i < layers.size(); ++i) sizes[i] = layers[i].size;
+  if (const char* defect = qnn::program_defect(p, sizes))
+    throw SerializationError(std::string("corrupt engine program in package: ") +
+                             defect);
+  return p;
+}
+
+/// The program a v4 package signs: compiled from `qm`'s network and
+/// calibrated on the first test images of the dataset its spec names.
+qnn::EngineProgram sign_time_program(const quant::QuantizedModel& qm) {
+  const data::ModelRecipe recipe =
+      data::model_recipe(qm.network().spec().name);
+  const data::SyntheticDataset ds = recipe.dataset();
+  const std::int64_t n = std::min(kPackageCalibImages, ds.test_size());
+  return qnn::calibrated_program(qm, ds.test_batch(0, n).images);
 }
 
 void write_scheme(BinaryWriter& w, const std::string& id,
@@ -99,13 +247,13 @@ struct ParsedPackage {
   PackageInfo info;
   std::uint32_t stored_crc = 0;
   std::vector<std::vector<std::uint8_t>> golden;
-  /// v3: weight blob in arena geometry; v2: rebuilt from per-layer
+  /// v3+: weight blob in arena geometry; v2: rebuilt from per-layer
   /// vectors using the shared offset rule.
   std::vector<std::int8_t> blob;
-  std::uint64_t blob_file_offset = 0;  ///< v3 only (0 = not mmap-able)
+  std::uint64_t blob_file_offset = 0;  ///< v3+ only (0 = not mmap-able)
 };
 
-/// Validate a v3 layer-table row against the running cursor and the blob
+/// Validate a v3+ layer-table row against the running cursor and the blob
 /// bounds; corrupt tables must die here, before any allocation or scan
 /// sized from them.
 void check_table_entry(const quant::ArenaLayer& l, std::int64_t prev_end,
@@ -117,10 +265,10 @@ void check_table_entry(const quant::ArenaLayer& l, std::int64_t prev_end,
 }
 
 /// `read_blob = false` skips materializing the weight payload (metadata
-/// queries on v3 packages then never touch the arena bytes; v2 files
+/// queries on v3+ packages then never touch the arena bytes; v2 files
 /// still stream through their per-layer vectors to reach later fields).
 ParsedPackage parse_package(const std::string& path, bool read_blob = true) {
-  BinaryReader r(path, kPackageFormatV2, kPackageFormatV3);
+  BinaryReader r(path, kPackageFormatV2, kPackageFormatV4);
   ParsedPackage pkg;
   pkg.info.format_version = r.version();
   pkg.info.model_name = r.read_string();
@@ -168,7 +316,7 @@ ParsedPackage parse_package(const std::string& path, bool read_blob = true) {
     return pkg;
   }
 
-  // v3: layer table, golden codes, then the aligned arena blob.
+  // v3+: layer table, golden codes, then the aligned arena blob.
   pkg.info.arena_bytes = r.read_i64();
   if (pkg.info.arena_bytes < 0 ||
       static_cast<std::uint64_t>(pkg.info.arena_bytes) > r.remaining())
@@ -199,6 +347,20 @@ ParsedPackage parse_package(const std::string& path, bool read_blob = true) {
   } else {
     r.skip(arena_bytes);  // still validates the file actually has it
   }
+  if (r.version() < kPackageFormatV4) return pkg;
+
+  // v4: the engine section runs from here to its trailer at EOF.
+  const std::uint64_t rest = r.remaining();
+  if (rest < kSectionTrailerBytes)
+    throw SerializationError("truncated engine section in package");
+  std::vector<std::uint8_t> section(
+      static_cast<std::size_t>(rest - kSectionTrailerBytes));
+  r.read_bytes(section.data(), section.size());
+  if (r.read_u64() != section.size())
+    throw SerializationError("corrupt engine section length in package");
+  if (r.read_u32() != section_crc(section))
+    throw SerializationError("engine section CRC mismatch in package");
+  pkg.info.engine = decode_engine(section, pkg.info.layers);
   return pkg;
 }
 
@@ -249,13 +411,23 @@ void save_package_v3(BinaryWriter& w, const quant::QuantizedModel& qm,
 
 void save_package(const std::string& path, const quant::QuantizedModel& qm,
                   const IntegrityScheme& scheme,
-                  const std::string& model_name, std::uint32_t version) {
+                  const std::string& model_name, std::uint32_t version,
+                  const qnn::EngineProgram* engine) {
   RADAR_REQUIRE(scheme.attached(), "scheme must be attached before save");
   RADAR_REQUIRE(scheme.num_layers() == qm.num_layers(),
                 "scheme does not match model");
-  RADAR_REQUIRE(
-      version == kPackageFormatV2 || version == kPackageFormatV3,
-      "unsupported package format version");
+  RADAR_REQUIRE(version >= kPackageFormatV2 && version <= kPackageFormatV4,
+                "unsupported package format version");
+  // Everything that can fail slowly happens before the file is opened.
+  std::vector<std::uint8_t> section;
+  if (version >= kPackageFormatV4) {
+    const qnn::EngineProgram program =
+        engine != nullptr ? *engine : sign_time_program(qm);
+    if (const char* defect = qnn::program_defect(program, qm))
+      throw InvalidArgument(std::string("cannot sign engine program: ") +
+                            defect);
+    section = encode_engine(program);
+  }
   BinaryWriter w(path, version);
   w.write_string(model_name);
   write_scheme(w, scheme.id(), scheme.params());
@@ -265,6 +437,18 @@ void save_package(const std::string& path, const quant::QuantizedModel& qm,
     save_package_v2(w, qm, scheme);
   else
     save_package_v3(w, qm, scheme);
+  // Crash-test hook: a writer stopped here has a half-written temp file
+  // and has not renamed it over `path`.
+  if (chaos::fire(chaos::points::kPackageMidWrite)) {
+#ifdef SIGSTOP
+    std::raise(SIGSTOP);
+#endif
+  }
+  if (version >= kPackageFormatV4) {
+    w.write_bytes(section.data(), section.size());
+    w.write_u64(section.size());
+    w.write_u32(section_crc(section));
+  }
   w.close();
 }
 
@@ -281,7 +465,7 @@ MappedArena map_package_arena(const std::string& path) {
   } catch (const std::exception&) {
     return out;  // unreadable or structurally corrupt: caller backs off
   }
-  if (pkg.info.format_version != kPackageFormatV3 ||
+  if (pkg.info.format_version < kPackageFormatV3 ||
       pkg.blob_file_offset % quant::kArenaAlignment != 0 ||
       pkg.info.arena_bytes <= 0)
     return out;
@@ -343,7 +527,7 @@ PackageLoadReport load_package(const std::string& path,
   // after.
   std::shared_ptr<MappedFile> mapped;
   std::span<const std::int8_t> mapped_arena;
-  if (opts.mmap_golden && report.info.format_version == kPackageFormatV3 &&
+  if (opts.mmap_golden && report.info.format_version >= kPackageFormatV3 &&
       pkg.blob_file_offset % quant::kArenaAlignment == 0) {
     if ((mapped = MappedFile::map(path)) != nullptr) {
       const auto all = mapped->bytes();

@@ -132,6 +132,11 @@ Batch SyntheticDataset::train_batch(std::int64_t batch_size, Rng& rng) const {
   return b;
 }
 
+std::int64_t SyntheticDataset::rendered_images() const {
+  std::lock_guard<std::mutex> lock(render_mu_);
+  return train_.rendered + test_.rendered;
+}
+
 Batch SyntheticDataset::test_batch(std::int64_t start,
                                    std::int64_t count) const {
   RADAR_REQUIRE(start >= 0 && count >= 0 && start + count <= test_size(),

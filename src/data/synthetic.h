@@ -69,6 +69,9 @@ class SyntheticDataset {
 
   const std::vector<int>& test_labels() const { return test_.labels; }
 
+  /// Images rendered so far, both splits (what reads have cost).
+  std::int64_t rendered_images() const;
+
  private:
   /// One split: its labels (filled at construction), its RNG stream and
   /// the images rendered from it so far.

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/serialize.h"
 #include "common/thread_pool.h"
+#include "data/model_recipe.h"
 #include "nn/model_io.h"
 
 namespace radar::exp {
@@ -20,63 +21,36 @@ constexpr std::int64_t kDefaultEvalBatch = 64;
 /// Images used for the one-time static activation calibration.
 constexpr std::int64_t kCalibImages = 128;
 
-/// Experiment-scale knobs. Kept deliberately small so the whole suite runs
-/// on a laptop; RADAR_FAST shrinks them further for CI smoke runs.
-struct BundleRecipe {
-  nn::ResNetSpec spec;
-  data::SyntheticSpec data_spec;
-  std::int64_t n_train, n_test;
-  data::TrainConfig train;
-};
-
-BundleRecipe recipe_for(const std::string& id) {
-  BundleRecipe r;
+/// Training knobs of each model id (its topology and dataset come from
+/// data::model_recipe). Kept deliberately small so the whole suite runs on
+/// a laptop; RADAR_FAST shrinks them further for CI smoke runs.
+data::TrainConfig train_config_for(const std::string& id) {
+  data::TrainConfig t;
   if (id == "resnet20") {
-    r.spec = nn::ResNetSpec::resnet20(10);
-    r.data_spec = data::synthetic_cifar_spec();
-    r.data_spec.noise = 0.55;  // keep the task non-trivial (~95% ceiling)
-    r.n_train = 4096;
-    r.n_test = 1024;
-    r.train.epochs = fast_mode() ? 2 : 4;
-    r.train.batch_size = 64;
-    r.train.batches_per_epoch = 32;
-    r.train.lr = 0.002f;
-    r.train.use_adam = true;  // paper: ResNet-20 trained with Adam
-    r.train.seed = 20;
+    t.epochs = fast_mode() ? 2 : 4;
+    t.batch_size = 64;
+    t.batches_per_epoch = 32;
+    t.lr = 0.002f;
+    t.use_adam = true;  // paper: ResNet-20 trained with Adam
+    t.seed = 20;
   } else if (id == "resnet18") {
-    // Paper architecture at reduced width (DESIGN.md §4).
-    r.spec = nn::ResNetSpec::resnet18(20, 16);
-    r.data_spec = data::synthetic_imagenet_spec();
-    r.data_spec.noise = 0.6;
-    r.n_train = 4096;
-    r.n_test = 1024;
-    r.train.epochs = fast_mode() ? 2 : 4;
-    r.train.batch_size = 64;
-    r.train.batches_per_epoch = 32;
-    r.train.lr = 0.02f;
-    r.train.use_adam = false;  // paper: ResNet-18 fine-tuned with SGD
-    r.train.seed = 18;
+    t.epochs = fast_mode() ? 2 : 4;
+    t.batch_size = 64;
+    t.batches_per_epoch = 32;
+    t.lr = 0.02f;
+    t.use_adam = false;  // paper: ResNet-18 fine-tuned with SGD
+    t.seed = 18;
   } else if (id == "tiny") {
-    // Test/demo-scale bundle: trains in seconds.
-    r.spec.num_classes = 4;
-    r.spec.base_width = 8;
-    r.spec.blocks_per_stage = {1, 1};
-    r.spec.name = "tiny";
-    r.data_spec = data::synthetic_cifar_spec();
-    r.data_spec.image_size = 16;
-    r.data_spec.num_classes = 4;
-    r.n_train = 512;
-    r.n_test = 256;
-    r.train.epochs = 4;
-    r.train.batch_size = 32;
-    r.train.batches_per_epoch = 16;
-    r.train.lr = 0.005f;
-    r.train.verbose = false;
-    r.train.seed = 4;
+    t.epochs = 4;
+    t.batch_size = 32;
+    t.batches_per_epoch = 16;
+    t.lr = 0.005f;
+    t.verbose = false;
+    t.seed = 4;
   } else {
     throw InvalidArgument("unknown model id: " + id);
   }
-  return r;
+  return t;
 }
 
 }  // namespace
@@ -93,11 +67,12 @@ ModelBundle load_or_train(const std::string& id) {
 }
 
 ModelBundle make_bundle(const std::string& id, bool train, bool eval_clean) {
-  const BundleRecipe recipe = recipe_for(id);
+  const data::ModelRecipe recipe = data::model_recipe(id);
+  const data::TrainConfig train_cfg = train_config_for(id);
   ModelBundle b;
   b.id = id;
   b.spec = recipe.spec;
-  Rng init_rng(recipe.train.seed);
+  Rng init_rng(train_cfg.seed);
   b.model = std::make_unique<nn::ResNet>(recipe.spec, init_rng);
   b.dataset = std::make_shared<const data::SyntheticDataset>(
       recipe.data_spec, recipe.n_train, recipe.n_test);
@@ -110,7 +85,7 @@ ModelBundle make_bundle(const std::string& id, bool train, bool eval_clean) {
     } else {
       RADAR_LOG(kInfo) << id << ": training (" << b.model->num_params()
                        << " params)...";
-      data::train(*b.model, *b.dataset, recipe.train);
+      data::train(*b.model, *b.dataset, train_cfg);
       nn::save_checkpoint(ckpt, b.model->params(), b.model->buffers());
     }
   }

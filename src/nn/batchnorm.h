@@ -27,9 +27,13 @@ class BatchNorm2d : public Layer {
   std::int64_t channels() const { return channels_; }
   float eps() const { return eps_; }
   Param& gamma() { return gamma_; }
+  const Param& gamma() const { return gamma_; }
   Param& beta() { return beta_; }
+  const Param& beta() const { return beta_; }
   Tensor& running_mean() { return running_mean_; }
+  const Tensor& running_mean() const { return running_mean_; }
   Tensor& running_var() { return running_var_; }
+  const Tensor& running_var() const { return running_var_; }
 
  private:
   std::int64_t channels_;

@@ -30,6 +30,7 @@ class Conv2d : public Layer {
   const Param& weight() const { return weight_; }
   bool has_bias() const { return has_bias_; }
   Param& bias() { return bias_; }
+  const Param& bias() const { return bias_; }
   /// Turn on the bias term (used by batch-norm folding); the bias tensor
   /// always exists and starts at zero.
   void enable_bias() { has_bias_ = true; }

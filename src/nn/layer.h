@@ -131,6 +131,7 @@ class Sequential : public Layer {
 
   std::size_t size() const { return children_.size(); }
   Layer& child(std::size_t i) { return *children_.at(i); }
+  const Layer& child(std::size_t i) const { return *children_.at(i); }
   const std::string& child_name(std::size_t i) const { return names_.at(i); }
 
  private:

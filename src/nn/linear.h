@@ -20,6 +20,7 @@ class Linear : public Layer {
   const Param& weight() const { return weight_; }
   bool has_bias() const { return has_bias_; }
   Param& bias() { return bias_; }
+  const Param& bias() const { return bias_; }
 
   std::int64_t in_features() const { return in_features_; }
   std::int64_t out_features() const { return out_features_; }

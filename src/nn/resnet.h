@@ -40,11 +40,17 @@ class BasicBlock : public Layer {
   // Graph introspection (the quantized inference engine walks the block
   // to compile its op program).
   Conv2d& conv1() { return conv1_; }
+  const Conv2d& conv1() const { return conv1_; }
   BatchNorm2d& bn1() { return bn1_; }
+  const BatchNorm2d& bn1() const { return bn1_; }
   Conv2d& conv2() { return conv2_; }
+  const Conv2d& conv2() const { return conv2_; }
   BatchNorm2d& bn2() { return bn2_; }
+  const BatchNorm2d& bn2() const { return bn2_; }
   Conv2d* down_conv() { return down_conv_.get(); }
+  const Conv2d* down_conv() const { return down_conv_.get(); }
   BatchNorm2d* down_bn() { return down_bn_.get(); }
+  const BatchNorm2d* down_bn() const { return down_bn_.get(); }
 
   /// Fold bn1/bn2 (and the projection BN) into their convolutions; see
   /// nn/fold.h.
@@ -94,6 +100,7 @@ class ResNet {
 
   const ResNetSpec& spec() const { return spec_; }
   Sequential& net() { return net_; }
+  const Sequential& net() const { return net_; }
 
  private:
   ResNetSpec spec_;

@@ -1,17 +1,29 @@
 // Batched int8 inference engine: executes a quantized network the way the
 // paper's integer deployment target would.
 //
-// The engine compiles the ResNet layer graph into a flat op program once
-// at construction: every Conv2d absorbs its following BatchNorm2d (and a
-// directly following ReLU) into a per-channel requantization epilogue, a
-// BasicBlock expands into two convs + optional projection + fused
-// add-ReLU, and the head becomes global-avg-pool + linear. Conv / fc
-// weights are read live from the QuantizedModel's int8 buffers at every
-// forward, so bit flips and recoveries are visible without any
-// re-preparation; batch-norm constants, float biases and activation
-// scales are frozen (BN and biases are not attackable in the threat
-// model, and scales come from a one-time static calibration on the clean
-// model).
+// The engine is two parts with a plain value between them:
+//
+//   compile + calibrate  compile_program() walks the ResNet layer graph
+//                        once into a flat EngineProgram: every Conv2d
+//                        absorbs its following BatchNorm2d (and a directly
+//                        following ReLU) into a per-channel requantization
+//                        epilogue, a BasicBlock expands into two convs +
+//                        optional projection + fused add-ReLU, and the head
+//                        becomes global-avg-pool + linear. calibrate() then
+//                        fixes each op's activation scale on a clean batch.
+//   run                  forward_into() executes a calibrated program
+//                        against a live QuantizedModel.
+//
+// The program holds no weights and no float graph: conv / fc weights are
+// read live from the QuantizedModel's int8 arena at every forward, so bit
+// flips and recoveries are visible without any re-preparation, while the
+// folded batch-norm constants, biases and activation scales are frozen in
+// the program (BN and biases are not attackable in the threat model, and
+// scales come from a one-time static calibration on the clean model). A
+// signed package stores the calibrated program (core/package.h), so a
+// serving host builds its engine from it without the float network that
+// produced it; campaigns compile and calibrate in process. Both run the
+// same forward path, so their logits are bit-identical.
 //
 // Two interchangeable conv kernels:
 //   kReference — the pre-existing direct 7-loop convolution, per sample;
@@ -30,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/int8_gemm.h"
@@ -49,14 +62,67 @@ enum class EngineKind {
   kBatched,    ///< im2col + tiled GEMM + fused requant epilogue
 };
 
+/// One op of an engine program. Activations live in three ping-pong
+/// buffers (ids 0..2); the final linear writes the logits (dst -1).
+struct EngineOp {
+  enum class Kind : std::uint8_t { kConv, kLinear, kAdd, kRelu, kPool, kFlatten };
+  Kind kind = Kind::kConv;
+  ConvGeom geom;                 ///< conv only
+  std::size_t qlayer = 0;        ///< conv/linear: QuantizedModel layer index
+  std::int64_t in_features = 0;  ///< linear only
+  std::int64_t out_features = 0;
+  bool relu = false;             ///< fused trailing ReLU (conv, add)
+  int src = 0;                   ///< input buffer id
+  int src2 = -1;                 ///< kAdd: second operand buffer id
+  int dst = 0;                   ///< output buffer id (-1 = logits)
+  float x_scale = 0.0f;          ///< calibrated input activation scale
+  /// Per-output-channel epilogue, out = acc * out_scale + out_bias
+  /// (conv/linear). out_bias is final at compile time; out_scale holds the
+  /// folded batch-norm multiplier until calibration multiplies in the
+  /// activation and weight scales.
+  std::vector<float> out_scale, out_bias;
+};
+
+/// A compiled op program: everything the engine needs besides the live
+/// int8 weights.
+struct EngineProgram {
+  std::vector<EngineOp> ops;
+  std::int64_t in_channels = 0;
+  std::int64_t num_classes = 0;
+  std::int64_t calib_images = 0;  ///< calibration batch size (0: none yet)
+
+  bool calibrated() const { return calib_images > 0; }
+};
+
+/// Compiles the (uncalibrated) op program of `model`'s network graph.
+EngineProgram compile_program(const quant::QuantizedModel& model);
+
+/// Why a calibrated `program` cannot run against a model whose quantized
+/// layers hold `layer_sizes` weights, or nullptr when it can: op wiring,
+/// buffer ids, conv geometry against the layer size, epilogue lengths and
+/// scales are all checked, so a program read from disk that passes never
+/// indexes outside a weight layer or an activation buffer.
+const char* program_defect(const EngineProgram& program,
+                           std::span<const std::int64_t> layer_sizes);
+/// program_defect against the layers of `model`.
+const char* program_defect(const EngineProgram& program,
+                           const quant::QuantizedModel& model);
+
 class InferenceEngine {
  public:
-  /// Compiles the op program from `model`'s network graph. `pool` may be
-  /// null (serial); a pool of size 1 also runs inline (and is then
-  /// allocation-free, like null).
-  explicit InferenceEngine(quant::QuantizedModel& model,
+  /// Compiles the op program from `model`'s network graph (calibrate()
+  /// before the first forward). `pool` may be null (serial); a pool of
+  /// size 1 also runs inline (and is then allocation-free, like null).
+  explicit InferenceEngine(const quant::QuantizedModel& model,
                            EngineKind kind = EngineKind::kBatched,
                            ThreadPool* pool = nullptr);
+
+  /// A ready engine from an already calibrated program (a package's
+  /// engine section). Throws InvalidArgument when program_defect()
+  /// rejects it against `model`.
+  InferenceEngine(const quant::QuantizedModel& model, EngineProgram program,
+                  EngineKind kind = EngineKind::kBatched,
+                  ThreadPool* pool = nullptr);
 
   /// One-time static calibration: runs `batch` through the program,
   /// fixing each conv/linear input scale to max|activation| / 127 (with
@@ -64,13 +130,16 @@ class InferenceEngine {
   /// model — scales are frozen afterwards so results stay independent of
   /// later attacks, batch splits and thread counts.
   void calibrate(const nn::Tensor& batch);
-  bool calibrated() const { return calibrated_; }
+  bool calibrated() const { return program_.calibrated(); }
+
+  /// The op program (calibrated once calibrate() ran).
+  const EngineProgram& program() const { return program_; }
 
   EngineKind kind() const { return kind_; }
   void set_kind(EngineKind kind) { kind_ = kind; }
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
-  std::int64_t num_classes() const { return num_classes_; }
+  std::int64_t num_classes() const { return program_.num_classes; }
 
   /// Batched forward of NCHW `x` into `logits`; all working memory comes
   /// from `scratch` (zero allocations after warm-up). `logits` is grown
@@ -78,51 +147,33 @@ class InferenceEngine {
   /// only its first N rows are valid (read the row count from the input
   /// batch, not from logits.dim(0)). Requires calibrate() first.
   void forward_into(const nn::Tensor& x, QnnScratch& scratch,
-                    nn::Tensor& logits);
+                    nn::Tensor& logits) const;
 
   /// Convenience wrapper (allocates a scratch + logits).
-  nn::Tensor forward(const nn::Tensor& x);
+  nn::Tensor forward(const nn::Tensor& x) const;
 
  private:
-  struct Op {
-    enum class Kind { kConv, kLinear, kAdd, kRelu, kPool, kFlatten };
-    Kind kind = Kind::kConv;
-    ConvGeom geom;                 ///< conv only
-    std::size_t qlayer = 0;        ///< conv/linear: QuantizedModel index
-    std::int64_t in_features = 0;  ///< linear only
-    std::int64_t out_features = 0;
-    std::vector<float> bn_scale;   ///< folded BN multiplier (empty = 1)
-    std::vector<float> bn_shift;   ///< folded BN shift (empty = 0)
-    std::vector<float> wbias;      ///< float conv/linear bias (empty = 0)
-    float x_scale = 0.0f;          ///< calibrated activation scale
-    float inv_x_scale = 0.0f;
-    std::vector<float> out_scale;  ///< fused epilogue scale (per channel)
-    std::vector<float> out_bias;   ///< fused epilogue bias (per channel)
-    bool relu = false;             ///< fused trailing ReLU
-    int src = 0;                   ///< input buffer id
-    int src2 = -1;                 ///< kAdd: second operand buffer id
-    int dst = 0;                   ///< output buffer id (-1 = logits)
-  };
-
-  void compile(nn::Sequential& net);
-  void push_conv(nn::Conv2d& conv, nn::BatchNorm2d* bn, bool relu, int src,
-                 int dst);
-  std::size_t qlayer_of(const nn::Param& weight) const;
+  /// The one forward path. `calib` is null for a forward and &program_
+  /// while calibrating: each conv/linear then fixes its scales from its
+  /// input before running with them.
   void run(const nn::Tensor& x, QnnScratch& scratch, nn::Tensor& logits,
-           bool calibrating);
-  void run_conv(Op& op, std::int64_t n, std::int64_t in_h, std::int64_t in_w,
-                QnnScratch& scratch, bool calibrating);
-  void run_linear(Op& op, std::int64_t n, std::int64_t in_features,
-                  const float* src, float* dst, QnnScratch& scratch,
-                  bool calibrating);
+           EngineProgram* calib) const;
+  void run_conv(const EngineOp& op, EngineOp* calib, std::int64_t n,
+                std::int64_t in_h, std::int64_t in_w,
+                QnnScratch& scratch) const;
+  void run_linear(const EngineOp& op, EngineOp* calib, std::int64_t n,
+                  std::int64_t in_features, const float* src, float* dst,
+                  QnnScratch& scratch) const;
 
-  quant::QuantizedModel* model_;
+  const quant::QuantizedModel* model_;
   EngineKind kind_;
   ThreadPool* pool_;
-  std::vector<Op> ops_;
-  std::int64_t in_channels_ = 0;
-  std::int64_t num_classes_ = 0;
-  bool calibrated_ = false;
+  EngineProgram program_;
 };
+
+/// compile_program + calibrate on `batch`: the calibrated program a
+/// package signs.
+EngineProgram calibrated_program(const quant::QuantizedModel& model,
+                                 const nn::Tensor& batch);
 
 }  // namespace radar::qnn

@@ -81,6 +81,7 @@ class QuantizedModel {
   }
 
   nn::ResNet& network() { return *model_; }
+  const nn::ResNet& network() const { return *model_; }
 
   /// Inference through the (synced) float mirror.
   nn::Tensor forward(const nn::Tensor& x) {

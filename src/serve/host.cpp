@@ -14,7 +14,6 @@
 namespace radar::serve {
 
 namespace {
-constexpr std::int64_t kCalibImages = 64;
 constexpr auto kScannerIdle = std::chrono::microseconds(200);
 
 /// Cooperative chaos stall: sleeps `ms` in small slices, bailing as soon
@@ -48,35 +47,41 @@ std::size_t ModelHost::add_tenant(const TenantConfig& cfg) {
 
   auto t = std::make_unique<Tenant>();
   t->cfg = cfg;
-  // The reference model only supplies layer structure — the package
-  // overwrites every weight — so skip training and clean-accuracy eval.
+  // The reference model only supplies the arena geometry (and the float
+  // mirror and dataset the harnesses read) — the package overwrites
+  // every weight and carries the engine — so skip training and
+  // clean-accuracy eval.
   t->bundle = exp::make_bundle(cfg.model_id, /*train=*/false,
                                /*eval_clean=*/false);
 
   core::PackageLoadOptions load_opts;
   load_opts.threads = 1;
   load_opts.mmap_golden = cfg.mmap_golden;
-  const auto report = core::load_package(cfg.package_path, *t->bundle.qmodel,
-                                         t->scheme, load_opts);
+  core::PackageLoadReport report = core::load_package(
+      cfg.package_path, *t->bundle.qmodel, t->scheme, load_opts);
   RADAR_REQUIRE(report.verified(),
                 "tenant '" + cfg.name + "': package " + cfg.package_path +
                     " failed verification — refusing to serve it");
+  RADAR_REQUIRE(report.info.format_version >= core::kPackageFormatV4,
+                "tenant '" + cfg.name + "': package " + cfg.package_path +
+                    " is format v" +
+                    std::to_string(report.info.format_version) +
+                    " and carries no signed engine; re-sign it with "
+                    "`radar_cli sign`");
   t->golden_mmapped = report.golden_mmapped;
 
   // Per-shard seqlock epochs: from here on every arena mutation must go
   // through a WriterSection (inject_faults and scanner recovery do).
   t->bundle.qmodel->enable_epoch_guard(opts_.epoch_shard_bytes);
 
-  // One engine per tenant, shared across workers: the op program is
-  // immutable after this calibration and all working memory comes from
-  // per-worker scratch. No engine-internal pool — parallelism comes from
-  // concurrent requests, keeping per-request latency flat under load.
+  // One engine per tenant, built from the package's signed program and
+  // shared across workers: the program is immutable and all working
+  // memory comes from per-worker scratch. No engine-internal pool —
+  // parallelism comes from concurrent requests, keeping per-request
+  // latency flat under load.
   t->engine = std::make_unique<qnn::InferenceEngine>(
-      *t->bundle.qmodel, qnn::EngineKind::kBatched, nullptr);
-  const std::int64_t calib =
-      std::min<std::int64_t>(kCalibImages, t->bundle.dataset->test_size());
-  RADAR_REQUIRE(calib > 0, "tenant dataset has no calibration images");
-  t->engine->calibrate(t->bundle.dataset->test_batch(0, calib).images);
+      *t->bundle.qmodel, std::move(report.info.engine),
+      qnn::EngineKind::kBatched, nullptr);
 
   core::ScanScheduler::Config scfg;
   scfg.budget_us = opts_.scan_budget_us;
@@ -120,6 +125,10 @@ std::size_t ModelHost::find_tenant(const std::string& name) const {
 
 const data::SyntheticDataset& ModelHost::dataset(std::size_t t) const {
   return *tenants_.at(t)->bundle.dataset;
+}
+
+const qnn::InferenceEngine& ModelHost::engine(std::size_t t) const {
+  return *tenants_.at(t)->engine;
 }
 
 void ModelHost::start() {

@@ -1,9 +1,10 @@
 // ModelHost: the multi-tenant protection-as-a-service core.
 //
 // Each tenant is a signed deployment package loaded into its own
-// QuantizedModel + IntegrityScheme (golden copy zero-copy via the v3
-// mmap path when available) with a statically calibrated int8 inference
-// engine. A pool of worker threads drains one bounded MPMC request
+// QuantizedModel + IntegrityScheme (golden copy zero-copy via the v3+
+// mmap path when available) with the int8 inference engine built from the
+// package's signed, calibrated op program (v4; older packages are refused
+// with a re-sign hint). A pool of worker threads drains one bounded MPMC request
 // queue — requests carry the tenant id, so a burst on one tenant borrows
 // every idle worker — while a single background scanner thread runs
 // budget-bounded scan slices across all tenants (most-overdue-first by
@@ -22,7 +23,7 @@
 // try_infer_async() from any number of threads while running;
 // inject_faults(), set_scanning() and stats() from any thread. One
 // engine per tenant is shared by all workers — its op program is
-// immutable after calibration and all working memory is per-worker
+// immutable and all working memory is per-worker
 // scratch, so concurrent forward_into calls are independent. Engine
 // weight reads race recovery writes by design (that *is* run-time
 // attack visibility); integrity verdicts are protected by the epoch
@@ -53,9 +54,9 @@ namespace radar::serve {
 
 struct TenantConfig {
   std::string name;          ///< routing key (unique per host)
-  std::string package_path;  ///< signed deployment package (v2 or v3)
+  std::string package_path;  ///< signed deployment package (v4)
   std::string model_id = "tiny";  ///< reference model structure
-  bool mmap_golden = true;   ///< zero-copy golden clean copy (v3 files)
+  bool mmap_golden = true;   ///< zero-copy golden clean copy
 };
 
 struct ServeOptions {
@@ -196,9 +197,11 @@ class ModelHost {
   ModelHost(const ModelHost&) = delete;
   ModelHost& operator=(const ModelHost&) = delete;
 
-  /// Load, verify and calibrate one tenant (before start()). Throws on a
-  /// package that fails verification — a tampered artifact must not
-  /// enter service. Returns the tenant index.
+  /// Load and verify one tenant and build its engine from the package's
+  /// signed program (before start()). Renders no dataset image and runs
+  /// no calibration. Throws on a package that fails verification — a
+  /// tampered artifact must not enter service — and on a v2/v3 package,
+  /// which carries no engine (re-sign it). Returns the tenant index.
   std::size_t add_tenant(const TenantConfig& cfg);
 
   std::size_t num_tenants() const { return tenants_.size(); }
@@ -208,6 +211,8 @@ class ModelHost {
   std::size_t find_tenant(const std::string& name) const;
   /// The tenant's dataset (request inputs for harnesses and the daemon).
   const data::SyntheticDataset& dataset(std::size_t t) const;
+  /// The tenant's serving engine (offline checks of what it computes).
+  const qnn::InferenceEngine& engine(std::size_t t) const;
 
   void start();
   void stop();

@@ -1,18 +1,27 @@
 // RadarPackage: signed deployment artifact round trips and tamper
 // evidence, with the scheme id + params carried in the artifact; format
-// v3 (contiguous weight arena + layer table + mmap'd golden copy) and
-// the transparent v2 migration path.
+// v4 (the signed, calibrated engine program), v3 (contiguous weight arena
+// + layer table + mmap'd golden copy), the transparent v2 migration path,
+// and crash safety against a writer killed mid-write.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 
 #include "common/bits.h"
+#include "common/fault_points.h"
 #include "core/package.h"
 #include "core/scheme.h"
 #include "core/scheme_registry.h"
+#include "data/model_recipe.h"
 #include "qnn/engine.h"
 #include "qnn/qnn_scratch.h"
+#include "serve/host.h"
 
 namespace radar::core {
 namespace {
@@ -239,19 +248,22 @@ TEST_F(PackageTest, CorruptFileRejected) {
 // ---- format v3: contiguous arena ----
 
 TEST_F(PackageTest, V3InfoCarriesArenaTable) {
+  // v4 keeps the v3 layout in front of its engine section.
   RadarScheme scheme = make_signed_scheme();
-  save_package(path_, qm_, scheme, "v3-table");
-  const PackageInfo info = read_package_info(path_);
-  EXPECT_EQ(info.format_version, kPackageFormatV3);
-  ASSERT_EQ(info.layers.size(), qm_.num_layers());
-  EXPECT_EQ(info.arena_bytes, qm_.arena().size_bytes());
-  for (std::size_t li = 0; li < qm_.num_layers(); ++li) {
-    const quant::ArenaLayer& pl = info.layers[li];
-    const quant::ArenaLayer& ml = qm_.arena().layer(li);
-    EXPECT_EQ(pl.name, ml.name);
-    EXPECT_EQ(pl.offset, ml.offset);
-    EXPECT_EQ(pl.size, ml.size);
-    EXPECT_EQ(pl.scale, ml.scale);
+  for (const std::uint32_t version : {kPackageFormatV3, kPackageFormatV4}) {
+    save_package(path_, qm_, scheme, "v3-table", version);
+    const PackageInfo info = read_package_info(path_);
+    EXPECT_EQ(info.format_version, version);
+    ASSERT_EQ(info.layers.size(), qm_.num_layers());
+    EXPECT_EQ(info.arena_bytes, qm_.arena().size_bytes());
+    for (std::size_t li = 0; li < qm_.num_layers(); ++li) {
+      const quant::ArenaLayer& pl = info.layers[li];
+      const quant::ArenaLayer& ml = qm_.arena().layer(li);
+      EXPECT_EQ(pl.name, ml.name);
+      EXPECT_EQ(pl.offset, ml.offset);
+      EXPECT_EQ(pl.size, ml.size);
+      EXPECT_EQ(pl.scale, ml.scale);
+    }
   }
 }
 
@@ -302,7 +314,7 @@ TEST_F(PackageTest, V2ToV3MigrationPreservesReportsAndLogits) {
     qnn::QnnScratch scratch;
     engine.forward_into(x, scratch, logits);
     // Re-save as v3 from this loaded state for the second pass.
-    save_package(v3_path, qm2, *s, "migrate");
+    save_package(v3_path, qm2, *s, "migrate", kPackageFormatV3);
     return report.info.format_version;
   };
   DetectionReport tamper_v2, tamper_v3;
@@ -362,6 +374,173 @@ TEST_F(PackageTest, MmapFallsBackForV2Packages) {
   const DetectionReport tamper = s->scan(qm2);
   s->recover(qm2, tamper, RecoveryPolicy::kReloadClean);
   EXPECT_FALSE(s->scan(qm2).attack_detected());
+}
+
+// ---- format v4: the signed engine program ----
+
+/// Byte range [begin, end) of a v4 file's engine section (it runs up to
+/// the u64 length + u32 CRC trailer at EOF).
+std::pair<std::size_t, std::size_t> engine_section_range(
+    const std::vector<char>& file) {
+  std::uint64_t len = 0;
+  std::memcpy(&len, file.data() + file.size() - 12, sizeof len);
+  return {file.size() - 12 - static_cast<std::size_t>(len),
+          file.size() - 12};
+}
+
+std::vector<char> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void spit(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(PackageTest, V4SignsTheCalibratedEngine) {
+  RadarScheme scheme = make_signed_scheme();
+  save_package(path_, qm_, scheme, "v4-engine");
+  const PackageInfo info = read_package_info(path_);
+  EXPECT_EQ(info.format_version, kPackageFormatV4);
+  EXPECT_EQ(info.engine.calib_images, kPackageCalibImages);
+  EXPECT_EQ(info.engine.num_classes, 4);
+  EXPECT_EQ(info.engine.ops.size(), qnn::compile_program(qm_).ops.size());
+
+  // The signer's engine: compiled from the signed network, calibrated on
+  // the first test images of the "tiny" recipe dataset.
+  const data::SyntheticDataset ds = data::model_recipe("tiny").dataset();
+  const nn::Tensor calib = ds.test_batch(0, kPackageCalibImages).images;
+  qnn::InferenceEngine signer(qm_);
+  signer.calibrate(calib);
+  const nn::Tensor want = signer.forward(calib);
+
+  // A fresh model of another init serves the package's program.
+  Rng rng2(31);
+  nn::ResNet other(tiny_spec(), rng2);
+  quant::QuantizedModel qm2(other);
+  std::unique_ptr<IntegrityScheme> loaded;
+  PackageLoadReport report = load_package(path_, qm2, loaded);
+  ASSERT_TRUE(report.verified());
+  qnn::InferenceEngine served(qm2, std::move(report.info.engine));
+  const nn::Tensor got = served.forward(calib);
+  ASSERT_EQ(got.numel(), want.numel());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<std::size_t>(want.numel()) * sizeof(float)),
+            0)
+      << "served logits differ from the signer's engine";
+}
+
+TEST_F(PackageTest, FlippingAnEngineSectionByteFailsTheLoad) {
+  RadarScheme scheme = make_signed_scheme();
+  save_package(path_, qm_, scheme, "v4-flip");
+  const std::vector<char> good = slurp(path_);
+  const auto [begin, end] = engine_section_range(good);
+  ASSERT_GT(end, begin);
+  std::vector<std::size_t> sites;
+  for (std::size_t i = begin; i < good.size(); i += 29) sites.push_back(i);
+  for (std::size_t i = end; i < good.size(); ++i) sites.push_back(i);
+  sites.push_back(end - 1);
+  for (const std::size_t at : sites) {
+    std::vector<char> bad = good;
+    bad[at] ^= 0x01;
+    spit(path_, bad);
+    Rng rng2(8);
+    nn::ResNet other(tiny_spec(), rng2);
+    quant::QuantizedModel qm2(other);
+    std::unique_ptr<IntegrityScheme> loaded;
+    EXPECT_THROW(load_package(path_, qm2, loaded), SerializationError)
+        << "flipped byte " << at - begin << " of the engine section";
+  }
+}
+
+TEST_F(PackageTest, V3PackageStillLoadsAndVerifies) {
+  RadarScheme scheme = make_signed_scheme();
+  save_package(path_, qm_, scheme, "legacy-v3", kPackageFormatV3);
+  const PackageInfo info = read_package_info(path_);
+  EXPECT_EQ(info.format_version, kPackageFormatV3);
+  EXPECT_TRUE(info.engine.ops.empty());
+#if defined(__unix__) || defined(__APPLE__)
+  EXPECT_TRUE(map_package_arena(path_).ok());
+#endif
+
+  Rng rng2(41);
+  nn::ResNet other(tiny_spec(), rng2);
+  quant::QuantizedModel qm2(other);
+  std::unique_ptr<IntegrityScheme> loaded;
+  const PackageLoadReport report = load_package(path_, qm2, loaded);
+  EXPECT_TRUE(report.verified());
+  EXPECT_EQ(qm2.snapshot(), qm_.snapshot());
+}
+
+TEST_F(PackageTest, HostRefusesV3PackageWithResignHint) {
+  RadarScheme scheme = make_signed_scheme();
+  save_package(path_, qm_, scheme, "legacy-v3", kPackageFormatV3);
+  serve::ModelHost host;
+  serve::TenantConfig cfg;
+  cfg.name = "legacy";
+  cfg.package_path = path_;
+  cfg.model_id = "tiny";
+  try {
+    host.add_tenant(cfg);
+    FAIL() << "a v3 package entered service";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("re-sign it with `radar_cli sign`"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(host.num_tenants(), 0u);
+}
+
+TEST_F(PackageTest, WriterKilledMidWriteKeepsThePreviousPackage) {
+  RadarScheme scheme = make_signed_scheme();
+  save_package(path_, qm_, scheme, "previous");
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // The writer: new weights over the same path, stopped (SIGSTOP) by
+    // the fault point after the weight payload, before the rename.
+    qm_.flip_bit(0, 0, kMsb);
+    chaos::FaultRegistry::instance().arm(chaos::points::kPackageMidWrite,
+                                         {});
+    try {
+      save_package(path_, qm_, scheme, "replacement");
+    } catch (...) {
+    }
+    ::_exit(0);  // reached only when the fault point did not stop us
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, WUNTRACED), child);
+  ASSERT_TRUE(WIFSTOPPED(status)) << "writer finished instead of stopping";
+  ASSERT_EQ(::kill(child, SIGKILL), 0);
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+
+  // The killed writer left its half-written temp file, not the target.
+  const std::filesystem::path target(path_);
+  const std::string temp_prefix = target.filename().string() + ".tmp." +
+                                  std::to_string(child) + ".";
+  int temps = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    if (entry.path().filename().string().rfind(temp_prefix, 0) != 0)
+      continue;
+    ++temps;
+    EXPECT_LT(std::filesystem::file_size(entry.path()),
+              std::filesystem::file_size(target));
+    std::filesystem::remove(entry.path());
+  }
+  EXPECT_EQ(temps, 1);
+
+  EXPECT_EQ(read_package_info(path_).model_name, "previous");
+  Rng rng2(5);
+  nn::ResNet other(tiny_spec(), rng2);
+  quant::QuantizedModel qm2(other);
+  std::unique_ptr<IntegrityScheme> loaded;
+  EXPECT_TRUE(load_package(path_, qm2, loaded).verified());
+  EXPECT_EQ(qm2.snapshot(), qm_.snapshot());
 }
 
 }  // namespace

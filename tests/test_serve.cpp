@@ -7,6 +7,7 @@
 // malformed/hostile socket clients.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -238,16 +239,19 @@ std::string* ServeHostTest::pkg_b_ = nullptr;
 TEST_F(ServeHostTest, RejectsTamperedPackage) {
   const std::string tampered = "/tmp/radar_test_serve_t_" +
                                std::to_string(::getpid()) + ".rpkg";
-  std::filesystem::copy_file(*pkg_a_, tampered);
-  // Flip one payload byte mid-file: CRC (and likely a signature) breaks.
+  // Flip one weight MSB after signing and re-save with the original
+  // golden codes and engine: the package parses, but the payload CRC and
+  // a signature break.
   {
-    std::FILE* f = std::fopen(tampered.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, -64, SEEK_END);
-    const int c = std::fgetc(f);
-    std::fseek(f, -64, SEEK_END);
-    std::fputc(c ^ 0x80, f);
-    std::fclose(f);
+    exp::ModelBundle b =
+        exp::make_bundle("tiny", /*train=*/false, /*eval_clean=*/false);
+    std::unique_ptr<core::IntegrityScheme> scheme;
+    core::PackageLoadReport report =
+        core::load_package(*pkg_a_, *b.qmodel, scheme);
+    ASSERT_TRUE(report.verified());
+    b.qmodel->flip_bit(1, 3, 7);
+    core::save_package(tampered, *b.qmodel, *scheme, "tiny",
+                       core::kPackageFormatV4, &report.info.engine);
   }
   ModelHost host;
   TenantConfig cfg;
@@ -256,6 +260,70 @@ TEST_F(ServeHostTest, RejectsTamperedPackage) {
   EXPECT_THROW(host.add_tenant(cfg), std::exception)
       << "a package failing verification must not enter service";
   std::filesystem::remove(tampered);
+}
+
+TEST_F(ServeHostTest, ServesTheSignedTrainedModel) {
+  // Sign a trained model the way `radar_cli sign` does.
+  exp::ModelBundle trained = exp::load_or_train("tiny");
+  const std::string path = "/tmp/radar_test_serve_trained_" +
+                           std::to_string(::getpid()) + ".rpkg";
+  {
+    auto scheme = core::SchemeRegistry::instance().create(
+        "radar2", core::SchemeParams{.group_size = 32});
+    scheme->attach(*trained.qmodel);
+    core::save_package(path, *trained.qmodel, *scheme, "tiny");
+  }
+  // The signer's engine: compiled from the trained network and calibrated
+  // on the first test images, as signing does.
+  const nn::Tensor images =
+      trained.dataset->test_batch(0, core::kPackageCalibImages).images;
+  qnn::InferenceEngine signer(*trained.qmodel);
+  signer.calibrate(images);
+  const nn::Tensor want = signer.forward(images);
+
+  ModelHost host;
+  TenantConfig cfg;
+  cfg.name = "trained";
+  cfg.package_path = path;
+  const std::size_t t = host.add_tenant(cfg);
+  // Bring-up builds the engine from the package: no image rendered, so
+  // no calibration ran.
+  EXPECT_EQ(host.dataset(t).rendered_images(), 0);
+
+  // The host's engine reproduces the signer's logits byte for byte.
+  const auto same_logits = [&](const nn::Tensor& got) {
+    return got.numel() == want.numel() &&
+           std::memcmp(got.data(), want.data(),
+                       static_cast<std::size_t>(want.numel()) *
+                           sizeof(float)) == 0;
+  };
+  EXPECT_TRUE(same_logits(host.engine(t).forward(images)))
+      << "served logits differ from the signer's engine";
+  // Calibrating the package weights on the host's untrained reference net
+  // would not: its batch-norm constants are not the signed ones.
+  {
+    exp::ModelBundle untrained =
+        exp::make_bundle("tiny", /*train=*/false, /*eval_clean=*/false);
+    std::unique_ptr<core::IntegrityScheme> scheme;
+    ASSERT_TRUE(core::load_package(path, *untrained.qmodel, scheme).verified());
+    qnn::InferenceEngine unsigned_engine(*untrained.qmodel);
+    unsigned_engine.calibrate(images);
+    EXPECT_FALSE(same_logits(unsigned_engine.forward(images)));
+  }
+
+  // And the request path answers with the signer's classes.
+  host.start();
+  const std::int64_t classes = signer.num_classes();
+  for (std::int64_t i = 0; i < core::kPackageCalibImages; ++i) {
+    const InferenceResult r =
+        host.infer(t, host.dataset(t).test_batch(i, 1).images);
+    ASSERT_TRUE(r.ok) << r.error;
+    const float* row = want.data() + i * classes;
+    EXPECT_EQ(r.predicted, std::max_element(row, row + classes) - row)
+        << "image " << i;
+  }
+  host.stop();
+  std::filesystem::remove(path);
 }
 
 TEST_F(ServeHostTest, ServesTwoTenantsConcurrently) {

@@ -16,16 +16,21 @@
 //       Print package metadata, including the stored scheme id (no
 //       verification).
 //
-//   radar_cli pack inspect <pkg>
-//       Print the package format version, scheme id + parameters, and the
+//   radar_cli pack inspect <pkg> [--predict N [--model ...]]
+//       Print the package format version, scheme id + parameters, the
+//       engine-section summary (v4: op count, calibration images) and the
 //       per-layer weight-arena table (byte offset / size / scale) — the
 //       storage-level view of the artifact (no model, no verification).
+//       --predict N also loads the package into the --model structure
+//       and prints the signed engine's class for the first N test images,
+//       one "prediction <i> <class>" line each: the replies a fresh
+//       `serve` daemon gives to its first N `INFER <tenant>` requests.
 //
 //   radar_cli verify <pkg> [--model ...] [--threads N] [--mmap]
 //       Load the package into a fresh model and verify CRC + golden codes
 //       (scanning across N worker threads); exit code 0 only when the
 //       artifact is intact. --mmap serves the reload-clean golden copy
-//       from a read-only mapping of the package file (v3 packages).
+//       from a read-only mapping of the package file (v3+ packages).
 //
 //   radar_cli attack <pkg> [--model ...] [--flips N] [--pbfa]
 //       Corrupt the package the way a rowhammer adversary would corrupt
@@ -80,6 +85,7 @@
 //
 //   radar_cli schemes
 //       List the registered scheme ids.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -114,7 +120,8 @@ struct Args {
   bool use_pbfa = false;
   std::size_t threads = 1;
   std::size_t scan_threads = 1;
-  bool mmap_golden = false;  ///< verify: mmap the v3 arena as golden copy
+  bool mmap_golden = false;  ///< verify: mmap the v3+ arena as golden copy
+  std::int64_t predict = 0;  ///< pack inspect: engine predictions to print
   std::string out;  ///< campaign JSON report path
   std::string csv;  ///< campaign CSV report path
   bool timing = false;
@@ -193,6 +200,12 @@ bool parse_options(int argc, char** argv, int first_opt, Args& args) {
       args.timing = true;
     } else if (a == "--mmap") {
       args.mmap_golden = true;
+    } else if (a == "--predict") {
+      args.predict = std::atoll(next("--predict"));
+      if (args.predict < 0) {
+        std::fprintf(stderr, "--predict must be >= 0\n");
+        return false;
+      }
     } else if (a == "--incremental") {
       args.incremental = true;
     } else if (a == "--scheduled") {
@@ -402,7 +415,9 @@ int cmd_pack(const Args& args) {
   const core::PackageInfo info = core::read_package_info(args.package);
   std::printf("package: %s\n", args.package.c_str());
   std::printf("format:  v%u%s\n", info.format_version,
-              info.format_version >= core::kPackageFormatV3
+              info.format_version >= core::kPackageFormatV4
+                  ? " (contiguous weight arena, mmap-ready, signed engine)"
+              : info.format_version >= core::kPackageFormatV3
                   ? " (contiguous weight arena, mmap-ready)"
                   : " (per-layer vectors)");
   std::printf("model:   %s\n", info.model_name.c_str());
@@ -420,6 +435,13 @@ int cmd_pack(const Args& args) {
               static_cast<long long>(info.arena_bytes),
               static_cast<long long>(info.total_weights), info.num_layers,
               static_cast<long long>(info.arena_bytes - info.total_weights));
+  if (info.engine.ops.empty())
+    std::printf("engine:  none (re-sign with `radar_cli sign` to serve)\n");
+  else
+    std::printf("engine:  %zu ops, %lld classes, calibrated on %lld images\n",
+                info.engine.ops.size(),
+                static_cast<long long>(info.engine.num_classes),
+                static_cast<long long>(info.engine.calib_images));
   std::printf("%-5s %-28s %12s %10s %12s\n", "layer", "name", "offset",
               "size", "scale");
   for (std::size_t li = 0; li < info.layers.size(); ++li) {
@@ -428,6 +450,31 @@ int cmd_pack(const Args& args) {
                 static_cast<long long>(l.offset),
                 static_cast<long long>(l.size),
                 static_cast<double>(l.scale));
+  }
+  if (args.predict == 0) return 0;
+
+  // The signed engine over the first N test images, one image per forward
+  // as the daemon's INFER runs them.
+  exp::ModelBundle bundle = exp::make_bundle(args.model, false, false);
+  std::unique_ptr<core::IntegrityScheme> scheme;
+  core::PackageLoadReport report =
+      core::load_package(args.package, *bundle.qmodel, scheme);
+  RADAR_REQUIRE(report.verified(), "package failed verification");
+  RADAR_REQUIRE(!report.info.engine.ops.empty(),
+                "package carries no engine; re-sign it with `radar_cli sign`");
+  qnn::InferenceEngine engine(*bundle.qmodel, std::move(report.info.engine));
+  RADAR_REQUIRE(args.predict <= bundle.dataset->test_size(),
+                "--predict exceeds the model's test split");
+  qnn::QnnScratch scratch;
+  nn::Tensor logits;
+  for (std::int64_t i = 0; i < args.predict; ++i) {
+    engine.forward_into(bundle.dataset->test_batch(i, 1).images, scratch,
+                        logits);
+    const float* row = logits.data();
+    std::printf("prediction %lld %d\n", static_cast<long long>(i),
+                static_cast<int>(std::max_element(
+                                     row, row + engine.num_classes()) -
+                                 row));
   }
   return 0;
 }
@@ -450,11 +497,13 @@ int cmd_attack(const Args& args) {
     attack::random_msb_flips(*bundle.qmodel, args.flips, rng);
     std::printf("flipped %d random MSBs\n", args.flips);
   }
-  // Re-save with the ORIGINAL golden codes: the attacker cannot forge
-  // them without the master key. Preserve the stored format version —
-  // the attack models in-place corruption, not a format migration.
+  // Re-save with the ORIGINAL golden codes (the attacker cannot forge
+  // them without the master key) and the original engine program.
+  // Preserve the stored format version — the attack models in-place
+  // corruption, not a format migration.
   core::save_package(args.package, *bundle.qmodel, *scheme,
-                     report.info.model_name, report.info.format_version);
+                     report.info.model_name, report.info.format_version,
+                     &report.info.engine);
   std::printf("tampered package written to %s\n", args.package.c_str());
   return 0;
 }
@@ -472,8 +521,11 @@ int cmd_recover(const Args& args) {
   scheme->recover(*bundle.qmodel, report.tamper,
                   core::RecoveryPolicy::kZeroOut);
   scheme->resign(*bundle.qmodel);
+  // The signed engine keeps its clean-model scales, as a serving host's
+  // engine does across a run-time recovery.
   core::save_package(args.package, *bundle.qmodel, *scheme,
-                     report.info.model_name, report.info.format_version);
+                     report.info.model_name, report.info.format_version,
+                     &report.info.engine);
   const double acc = exp::accuracy_on_subset(bundle, 256);
   std::printf("zeroed %lld group(s), re-signed; accuracy now %.2f%%\n",
               static_cast<long long>(report.tamper.num_flagged_groups()),
@@ -617,7 +669,7 @@ constexpr Command kCommands[] = {
     {"sign", "sign <pkg> [--model M] [--scheme S|--bits 2|3] [--group N]",
      1, cmd_sign},
     {"info", "info <pkg>", 1, cmd_info},
-    {"pack", "pack inspect <pkg>", 2, cmd_pack},
+    {"pack", "pack inspect <pkg> [--predict N] [--model M]", 2, cmd_pack},
     {"verify", "verify <pkg> [--model M] [--threads N] [--mmap]", 1,
      cmd_verify},
     {"attack", "attack <pkg> [--model M] [--flips N] [--pbfa]", 1,
