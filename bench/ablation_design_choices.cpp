@@ -1,4 +1,5 @@
-// Ablations of RADAR's design choices (DESIGN.md §5).
+// Ablations of RADAR's design choices: each section varies one choice
+// the paper fixes and reports what it buys.
 //
 // (a) interleave skew t: 0 (pure stride) vs 3 (paper) vs no interleave,
 //     against the knowledgeable paired-flip attacker;

@@ -5,9 +5,10 @@
 //
 //  1. Kernel throughput (GB/s): the pre-PR scalar scatter-add kernel
 //     (reimplemented here verbatim as the baseline) vs the vectorized
-//     group-major kernel, on a 4M-weight interleaved layer at the paper's
-//     G=512, plus the gather-free contiguous path and the O(G) narrow
-//     per-group scan the incremental path is built from.
+//     range kernel over every group, on a 4M-weight interleaved layer at
+//     the paper's G=512; the same layer swept in the scheduler's default
+//     16 KiB group windows; the gather-free contiguous path; and the O(G)
+//     narrow per-group scan the incremental path is built from.
 //
 //  2. End-to-end: the PR-2 campaign smoke spec evaluated with the full
 //     engine (per-cell attach, whole-model restore, full rescans) vs the
@@ -18,6 +19,7 @@
 //
 // Usage: bench_micro_scan [campaign_spec.json]
 //   (default spec path assumes running from build/: ../examples/specs/)
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "bench_util.h"
 #include "campaign/campaign.h"
 #include "common/rng.h"
+#include "core/scan_scheduler.h"
 #include "core/scan_scratch.h"
 #include "core/scanner.h"
 
@@ -114,10 +117,24 @@ int main(int argc, char** argv) {
   }
   {
     const core::LayerScanner scanner(inter, mask, 2);
+    const std::int64_t ng = scanner.num_groups();
     core::ScanScratch scratch;
     run("scan_vectorized_512", bytes, [&] {
-      scanner.masked_sums_into(wspan, scratch);
+      scanner.masked_sums_range_into(wspan, 0, ng, scratch);
       g_sink = g_sink + scratch.sums[0];
+    });
+    // The same layer swept in the group windows ScanScheduler plans at
+    // its default chunk size: the per-chunk kernel cost of budgeted and
+    // epoch-guarded sweeps, next to the whole-range row above.
+    const std::int64_t chunk = core::ScanScheduler::Config{}.chunk_bytes;
+    const std::int64_t windows = (kW + chunk - 1) / chunk;
+    const std::int64_t per = (ng + windows - 1) / windows;
+    run("scan_range_16k_512", bytes, [&] {
+      for (std::int64_t b = 0; b < ng; b += per) {
+        scanner.masked_sums_range_into(wspan, b, std::min(b + per, ng),
+                                       scratch);
+        g_sink = g_sink + scratch.sums[0];
+      }
     });
     run("narrow_scan_per_group_512", static_cast<double>(kG), [&] {
       g_sink = g_sink + scanner.group_sum(wspan, 17);
@@ -127,7 +144,7 @@ int main(int argc, char** argv) {
     const core::LayerScanner scanner(contig, mask, 2);
     core::ScanScratch scratch;
     run("scan_vectorized_contig_512", bytes, [&] {
-      scanner.masked_sums_into(wspan, scratch);
+      scanner.masked_sums_range_into(wspan, 0, scanner.num_groups(), scratch);
       g_sink = g_sink + scratch.sums[0];
     });
   }

@@ -1,5 +1,6 @@
 // Table IV — Time overhead of RADAR (gem5 in the paper; our analytic
-// timing model over the paper-scale network shapes — DESIGN.md §4).
+// timing model over the paper-scale network shapes — README "Reproducing
+// the paper").
 //
 // Paper: ResNet-20 66.3 ms -> 68.7 ms (69.8 ms interleaved) = 3.56%
 // (5.27%); ResNet-18 3.268 s -> 3.287 s (3.328 s) = 0.58% (1.83%).

@@ -1,11 +1,11 @@
 // Runtime SIMD capability detection and kernel-dispatch level selection.
 //
-// Every hot kernel in the repo (masked-sum scan rows, the rotated
-// range-window kernel, CRC slicing, snapshot compare, the int8 GEMM
-// microkernels) keeps its portable scalar form as the bit-identical
-// reference and registers explicitly vectorized variants in a small
-// per-kernel function-pointer table indexed by SimdLevel. The active
-// level is a process-wide atomic:
+// Every hot kernel in the repo (the masked-sum scan's rotated row
+// segments, CRC slicing, snapshot compare, the int8 GEMM microkernels)
+// keeps its portable scalar form as the bit-identical reference and
+// registers explicitly vectorized variants in a small per-kernel
+// function-pointer table indexed by SimdLevel. The active level is a
+// process-wide atomic:
 //
 //   * detected once from cpuid (x86: AVX2, AVX-512 F/BW/VL, VNNI, with
 //     the OS xsave check for ymm/zmm state) or the architecture (arm:

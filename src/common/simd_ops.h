@@ -11,8 +11,8 @@
 //                  reduction. AVX-512 uses `vpdpbusd` (VNNI) when the
 //                  machine has it, with the exact +128 bias correction.
 //   * axpy_i8    — acc[k] += w[k] * s[k] over a contiguous segment: the
-//                  rotated-row accumulation step of the interleaved scan
-//                  and its range-window variant.
+//                  rotated-row accumulation step of the interleaved
+//                  range scan.
 //   * bytes_equal — whole-buffer equality: snapshot compare / restore's
 //                  changed-layer probe.
 //

@@ -163,7 +163,8 @@ BlockCodeFactory hamming_secded_block_code() {
 GroupedCodeScheme::GroupedCodeScheme(std::string id,
                                      const SchemeParams& params,
                                      BlockCodeFactory make_code)
-    : SchemeBase(std::move(id), params), make_code_(std::move(make_code)) {
+    : IntegrityScheme(std::move(id), params),
+      make_code_(std::move(make_code)) {
   RADAR_REQUIRE(make_code_ != nullptr, "null block code factory");
 }
 
@@ -250,28 +251,6 @@ void GroupedCodeScheme::for_each_word(const quant::QuantizedModel& qm,
     fn(group_begin + k, scratch.state[static_cast<std::size_t>(k)]);
 }
 
-void GroupedCodeScheme::scan_range(const quant::QuantizedModel& qm,
-                                   std::size_t layer, std::int64_t group_begin,
-                                   std::int64_t group_end,
-                                   std::vector<std::int64_t>& flagged,
-                                   ScanScratch& scratch) const {
-  const PackedWordStore& golden = golden_[layer];
-  flagged.clear();
-  for_each_word(qm, layer, group_begin, group_end, scratch,
-                [&](std::int64_t grp, std::uint32_t word) {
-                  if (word != golden.get(grp)) flagged.push_back(grp);
-                });
-}
-
-void GroupedCodeScheme::scan_layer_into(const quant::QuantizedModel& qm,
-                                        std::size_t layer,
-                                        std::vector<std::int64_t>& flagged,
-                                        ScanScratch& scratch) const {
-  require_attached_to(qm);
-  RADAR_REQUIRE(layer < layouts_.size(), "layer out of range");
-  scan_range(qm, layer, 0, layouts_[layer].num_groups(), flagged, scratch);
-}
-
 void GroupedCodeScheme::scan_layer_groups(const quant::QuantizedModel& qm,
                                           std::size_t layer,
                                           std::span<const std::int64_t> groups,
@@ -298,7 +277,12 @@ void GroupedCodeScheme::scan_layer_range_into(
                     group_begin <= group_end &&
                     group_end <= layouts_[layer].num_groups(),
                 "group range out of bounds");
-  scan_range(qm, layer, group_begin, group_end, flagged, scratch);
+  const PackedWordStore& golden = golden_[layer];
+  flagged.clear();
+  for_each_word(qm, layer, group_begin, group_end, scratch,
+                [&](std::int64_t grp, std::uint32_t word) {
+                  if (word != golden.get(grp)) flagged.push_back(grp);
+                });
 }
 
 void GroupedCodeScheme::resign_layer(const quant::QuantizedModel& qm,

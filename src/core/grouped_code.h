@@ -11,20 +11,21 @@
 // every group of a layer — the tail group included — uses the same code
 // instance.
 //
-// Full, range and re-sign passes never gather a group. Under the skewed
-// interleaver row r of a layer (bytes [r*Ng, (r+1)*Ng)) holds slot r of
-// every group, rotated by (skew*r) mod Ng — the row structure
-// LayerScanner uses — so those passes stream the layer once: each row's
-// window of groups (at most two contiguous pieces) is read in place, or
-// staged into ScanScratch when it wraps or reaches padding, and folded
-// eight rows at a time into one 32-bit state per group, also kept in
-// ScanScratch: a CRC register (one slicing-by-8 step per eight rows), a
-// Hamming syndrome + parity, or the two Fletcher sums. No code keeps a
-// table that grows with group_size. A contiguous group is a run of bytes
-// and is coded in place; compute() reads a short tail group's missing
-// slots as padding. Dirty rescans of a few groups (scan_layer_groups)
-// gather each group and call BlockCode::compute — the dense/sparse split
-// RadarScheme has between masked_sums_into and group_signature_at.
+// Range scans (a full scan is the range of every group) and re-sign
+// passes never gather a group. Under the skewed interleaver row r of a
+// layer (bytes [r*Ng, (r+1)*Ng)) holds slot r of every group, rotated by
+// (skew*r) mod Ng — the row structure LayerScanner uses — so those
+// passes stream the layer once: each row's window of groups (at most two
+// contiguous pieces) is read in place, or staged into ScanScratch when it
+// wraps or reaches padding, and folded eight rows at a time into one
+// 32-bit state per group, also kept in ScanScratch: a CRC register (one
+// slicing-by-8 step per eight rows), a Hamming syndrome + parity, or the
+// two Fletcher sums. No code keeps a table that grows with group_size. A
+// contiguous group is a run of bytes and is coded in place; compute()
+// reads a short tail group's missing slots as padding. Dirty rescans of a
+// few groups (scan_layer_groups) gather each group and call
+// BlockCode::compute — the dense/sparse split RadarScheme has between
+// masked_sums_range_into and group_signature_at.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +72,7 @@ BlockCodeFactory crc_block_code(int width);       ///< 7, 10, 13 or 16
 BlockCodeFactory fletcher16_block_code();
 BlockCodeFactory hamming_secded_block_code();
 
-class GroupedCodeScheme : public SchemeBase {
+class GroupedCodeScheme : public IntegrityScheme {
  public:
   /// `id` is the registry name the scheme reports (and packages store).
   GroupedCodeScheme(std::string id, const SchemeParams& params,
@@ -80,9 +81,6 @@ class GroupedCodeScheme : public SchemeBase {
   const BlockCode& code() const { return *code_; }
 
   void attach(const quant::QuantizedModel& qm, bool sign = true) override;
-  void scan_layer_into(const quant::QuantizedModel& qm, std::size_t layer,
-                       std::vector<std::int64_t>& flagged,
-                       ScanScratch& scratch) const override;
   void scan_layer_groups(const quant::QuantizedModel& qm, std::size_t layer,
                          std::span<const std::int64_t> groups,
                          std::vector<std::int64_t>& flagged,
@@ -92,7 +90,6 @@ class GroupedCodeScheme : public SchemeBase {
                              std::int64_t group_end,
                              std::vector<std::int64_t>& flagged,
                              ScanScratch& scratch) const override;
-  bool supports_range_scan() const override { return true; }
   void resign_layer(const quant::QuantizedModel& qm,
                     std::size_t layer) override;
   std::int64_t signature_storage_bytes() const override;
@@ -108,11 +105,6 @@ class GroupedCodeScheme : public SchemeBase {
   void for_each_word(const quant::QuantizedModel& qm, std::size_t layer,
                      std::int64_t group_begin, std::int64_t group_end,
                      ScanScratch& scratch, Fn&& fn) const;
-  /// Scans groups [group_begin, group_end) into `flagged`.
-  void scan_range(const quant::QuantizedModel& qm, std::size_t layer,
-                  std::int64_t group_begin, std::int64_t group_end,
-                  std::vector<std::int64_t>& flagged,
-                  ScanScratch& scratch) const;
 
   BlockCodeFactory make_code_;
   std::unique_ptr<BlockCode> code_;  ///< built on attach

@@ -11,52 +11,20 @@ bool DetectionReport::is_flagged(std::size_t layer,
   return std::binary_search(f.begin(), f.end(), group);
 }
 
-void IntegrityScheme::scan_layer_groups(const quant::QuantizedModel& qm,
-                                        std::size_t layer,
-                                        std::span<const std::int64_t> groups,
-                                        std::vector<std::int64_t>& flagged,
-                                        ScanScratch& scratch) const {
-  scan_layer_into(qm, layer, flagged, scratch);
-  // Keep only the requested groups (both lists are sorted ascending).
-  std::size_t keep = 0, gi = 0;
-  for (const std::int64_t f : flagged) {
-    while (gi < groups.size() && groups[gi] < f) ++gi;
-    if (gi < groups.size() && groups[gi] == f) flagged[keep++] = f;
-  }
-  flagged.resize(keep);
-}
-
-void IntegrityScheme::scan_layer_range_into(const quant::QuantizedModel& qm,
-                                            std::size_t layer,
-                                            std::int64_t group_begin,
-                                            std::int64_t group_end,
-                                            std::vector<std::int64_t>& flagged,
-                                            ScanScratch& scratch) const {
-  scan_layer_into(qm, layer, flagged, scratch);
-  // Trim to [group_begin, group_end) — flagged is sorted ascending.
-  std::size_t keep = 0;
-  for (const std::int64_t f : flagged)
-    if (f >= group_begin && f < group_end) flagged[keep++] = f;
-  flagged.resize(keep);
-}
-
-SchemeBase::SchemeBase(std::string id, const SchemeParams& params)
+IntegrityScheme::IntegrityScheme(std::string id, const SchemeParams& params)
     : id_(std::move(id)), params_(params) {
   RADAR_REQUIRE(params.group_size > 0, "group size must be positive");
 }
 
-GroupLayout SchemeBase::make_layout(std::int64_t num_weights) const {
-  return params_.interleave
-             ? GroupLayout::interleaved(num_weights, params_.group_size,
-                                        params_.skew)
-             : GroupLayout::contiguous(num_weights, params_.group_size);
-}
-
-void SchemeBase::attach_layouts(const quant::QuantizedModel& qm) {
+void IntegrityScheme::attach_layouts(const quant::QuantizedModel& qm) {
   layouts_.clear();
   clean_offsets_.clear();
   for (std::size_t li = 0; li < qm.num_layers(); ++li) {
-    layouts_.push_back(make_layout(qm.layer(li).size()));
+    const std::int64_t nw = qm.layer(li).size();
+    layouts_.push_back(
+        params_.interleave
+            ? GroupLayout::interleaved(nw, params_.group_size, params_.skew)
+            : GroupLayout::contiguous(nw, params_.group_size));
     const quant::ArenaLayer& al = qm.arena().layer(li);
     clean_offsets_.emplace_back(al.offset, al.size);
   }
@@ -74,8 +42,8 @@ void SchemeBase::attach_layouts(const quant::QuantizedModel& qm) {
   clean_bytes_ = clean_copy_.bytes();
 }
 
-void SchemeBase::set_clean_source(std::shared_ptr<const void> holder,
-                                  std::span<const std::int8_t> bytes) {
+void IntegrityScheme::set_clean_source(std::shared_ptr<const void> holder,
+                                       std::span<const std::int8_t> bytes) {
   RADAR_REQUIRE(attached(), "set_clean_source before attach");
   RADAR_REQUIRE(holder != nullptr, "null clean-source holder");
   RADAR_REQUIRE(static_cast<std::int64_t>(bytes.size()) == clean_size_bytes_,
@@ -85,7 +53,7 @@ void SchemeBase::set_clean_source(std::shared_ptr<const void> holder,
   clean_copy_ = {};  // drop the owned copy — the external source wins
 }
 
-std::vector<std::int64_t> SchemeBase::scan_layer(
+std::vector<std::int64_t> IntegrityScheme::scan_layer(
     const quant::QuantizedModel& qm, std::size_t layer) const {
   std::vector<std::int64_t> flagged;
   ScanScratch scratch;
@@ -93,7 +61,7 @@ std::vector<std::int64_t> SchemeBase::scan_layer(
   return flagged;
 }
 
-DetectionReport SchemeBase::scan(const quant::QuantizedModel& qm) const {
+DetectionReport IntegrityScheme::scan(const quant::QuantizedModel& qm) const {
   RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
                 "scheme not attached to this model");
   DetectionReport report;
@@ -104,9 +72,9 @@ DetectionReport SchemeBase::scan(const quant::QuantizedModel& qm) const {
   return report;
 }
 
-void SchemeBase::recover(quant::QuantizedModel& qm,
-                         const DetectionReport& report,
-                         RecoveryPolicy policy) const {
+void IntegrityScheme::recover(quant::QuantizedModel& qm,
+                              const DetectionReport& report,
+                              RecoveryPolicy policy) const {
   RADAR_REQUIRE(report.flagged.size() == qm.num_layers(),
                 "report does not match model");
   for (std::size_t li = 0; li < qm.num_layers(); ++li) {
@@ -136,13 +104,13 @@ void SchemeBase::recover(quant::QuantizedModel& qm,
   }
 }
 
-void SchemeBase::resign(const quant::QuantizedModel& qm) {
+void IntegrityScheme::resign(const quant::QuantizedModel& qm) {
   RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
                 "scheme not attached to this model");
   for (std::size_t li = 0; li < qm.num_layers(); ++li) resign_layer(qm, li);
 }
 
-std::int64_t SchemeBase::total_groups() const {
+std::int64_t IntegrityScheme::total_groups() const {
   std::int64_t n = 0;
   for (const auto& l : layouts_) n += l.num_groups();
   return n;

@@ -3,14 +3,18 @@
 // Every weight-integrity code in this repo — the paper's 2/3-bit RADAR
 // group signatures as well as the CRC / Fletcher / Hamming baselines it is
 // compared against (Table V) — plugs into the run-time path through this
-// interface: attach to a quantized model, scan (whole model or one layer),
+// class: attach to a quantized model, scan (whole model or one layer),
 // recover flagged groups, re-sign after authorized updates, and round-trip
-// the golden codes through a deployment package. SchemeBase supplies the
-// plumbing every grouped code shares: per-layer GroupLayouts, the clean
-// snapshot backing kReloadClean recovery, and the layer-loop defaults for
-// scan / resign. Concrete schemes are created by name through
-// SchemeRegistry; whole-model scans run through ScanScheduler, which
-// partitions them into group-range chunks scanned by the range primitive.
+// the golden codes through a deployment package. The class owns what
+// every grouped code shares: per-layer GroupLayouts, the clean snapshot
+// backing kReloadClean recovery, and the layer loops of scan / recover /
+// resign. A concrete scheme implements seven virtuals: attach, the dense
+// range scan, the sparse dirty-group scan, per-layer re-signing, storage
+// accounting and golden export / import. Every dense scan — one layer,
+// the serial whole model, a ScanScheduler chunk — is a call of the range
+// scan, so whole-layer scans and chunked sweeps run the same code.
+// Concrete schemes are created by name through SchemeRegistry;
+// whole-model scans in the run-time path go through ScanScheduler.
 #pragma once
 
 #include <cstdint>
@@ -72,77 +76,76 @@ struct DetectionReport {
 class IntegrityScheme {
  public:
   virtual ~IntegrityScheme() = default;
+  // Moves keep clean_bytes_ valid (the owned snapshot's storage moves
+  // with it); a copy would leave it pointing into the source's snapshot.
+  IntegrityScheme(const IntegrityScheme&) = delete;
+  IntegrityScheme& operator=(const IntegrityScheme&) = delete;
+  IntegrityScheme(IntegrityScheme&&) = default;
+  IntegrityScheme& operator=(IntegrityScheme&&) = default;
 
   /// Registry id this scheme was created under ("radar2", "crc13", ...).
-  virtual const std::string& id() const = 0;
+  const std::string& id() const { return id_; }
   /// The parameters the scheme was built with (round-tripped by packages).
-  virtual const SchemeParams& params() const = 0;
+  const SchemeParams& params() const { return params_; }
 
   /// Build layouts / golden codes for `qm`; also snapshots the clean
   /// weights for the kReloadClean recovery policy. Pass `sign = false`
   /// when the golden codes will be replaced via import_golden() anyway
   /// (package loads), skipping one full code computation.
   virtual void attach(const quant::QuantizedModel& qm, bool sign = true) = 0;
-  virtual bool attached() const = 0;
-  virtual std::size_t num_layers() const = 0;
-  virtual const GroupLayout& layout(std::size_t layer) const = 0;
+  bool attached() const { return !layouts_.empty(); }
+  std::size_t num_layers() const { return layouts_.size(); }
+  const GroupLayout& layout(std::size_t layer) const {
+    return layouts_.at(layer);
+  }
 
   /// Recompute every group's code and compare with the golden ones.
-  virtual DetectionReport scan(const quant::QuantizedModel& qm) const = 0;
+  DetectionReport scan(const quant::QuantizedModel& qm) const;
 
   /// Scan a single layer (run-time per-layer embedding, §IV); returns the
   /// flagged group ids, sorted ascending.
-  virtual std::vector<std::int64_t> scan_layer(
-      const quant::QuantizedModel& qm, std::size_t layer) const = 0;
+  std::vector<std::int64_t> scan_layer(const quant::QuantizedModel& qm,
+                                       std::size_t layer) const;
 
   /// Zero-allocation scan_layer: fills `flagged` (cleared first, capacity
-  /// kept) using `scratch` for working memory. This is the primitive the
-  /// run-time scan loop calls; SchemeBase derives scan_layer from it.
-  virtual void scan_layer_into(const quant::QuantizedModel& qm,
-                               std::size_t layer,
-                               std::vector<std::int64_t>& flagged,
-                               ScanScratch& scratch) const = 0;
+  /// kept) using `scratch` for working memory — the range scan over every
+  /// group of the layer.
+  void scan_layer_into(const quant::QuantizedModel& qm, std::size_t layer,
+                       std::vector<std::int64_t>& flagged,
+                       ScanScratch& scratch) const {
+    scan_layer_range_into(qm, layer, 0, layout(layer).num_groups(), flagged,
+                          scratch);
+  }
 
   /// Narrow scan: recheck only `groups` (sorted ascending, deduplicated)
   /// of one layer, filling `flagged` with the mismatching subset. When
   /// every group outside `groups` is known to still hold the weights the
   /// golden codes were computed from, the result equals scan_layer bit for
   /// bit at O(|groups| * G) cost — the incremental-scan primitive.
-  /// Default recomputes the full layer and intersects.
   virtual void scan_layer_groups(const quant::QuantizedModel& qm,
                                  std::size_t layer,
                                  std::span<const std::int64_t> groups,
                                  std::vector<std::int64_t>& flagged,
-                                 ScanScratch& scratch) const;
+                                 ScanScratch& scratch) const = 0;
 
   /// Range scan: recompute only groups [group_begin, group_end) of one
   /// layer, filling `flagged` (cleared first) with the mismatching ids in
-  /// that range. This is the primitive ScanScheduler chunks whole-model
-  /// scans with: the result equals the corresponding slice of
-  /// scan_layer_into bit for bit, at cost proportional to the bytes the
-  /// range covers. Default recomputes the full layer and trims — correct,
-  /// but rangeless schemes cannot be split into chunks.
+  /// that range, at cost proportional to the bytes the range covers. The
+  /// one dense scan primitive: whole-layer and whole-model scans are this
+  /// call over [0, num_groups), and ScanScheduler chunks are slices of it.
   virtual void scan_layer_range_into(const quant::QuantizedModel& qm,
                                      std::size_t layer,
                                      std::int64_t group_begin,
                                      std::int64_t group_end,
                                      std::vector<std::int64_t>& flagged,
-                                     ScanScratch& scratch) const;
-
-  /// True when scan_layer_range_into costs O(range bytes) rather than
-  /// falling back to a full-layer scan + trim. ScanScheduler only splits a
-  /// layer into several chunks for schemes that say so — splitting a
-  /// trim-fallback scheme would multiply total work by the chunk count.
-  virtual bool supports_range_scan() const { return false; }
+                                     ScanScratch& scratch) const = 0;
 
   /// Apply recovery to every flagged group.
-  virtual void recover(quant::QuantizedModel& qm,
-                       const DetectionReport& report,
-                       RecoveryPolicy policy = RecoveryPolicy::kZeroOut)
-      const = 0;
+  void recover(quant::QuantizedModel& qm, const DetectionReport& report,
+               RecoveryPolicy policy = RecoveryPolicy::kZeroOut) const;
 
   /// Recompute golden codes (after an authorized weight update).
-  virtual void resign(const quant::QuantizedModel& qm) = 0;
+  void resign(const quant::QuantizedModel& qm);
   /// Recompute golden codes of a single layer only.
   virtual void resign_layer(const quant::QuantizedModel& qm,
                             std::size_t layer) = 0;
@@ -150,7 +153,7 @@ class IntegrityScheme {
   /// Total golden-code bytes across layers (paper Fig. 6 x-axis).
   virtual std::int64_t signature_storage_bytes() const = 0;
   /// Codes recomputed in one scan (equals total group count).
-  virtual std::int64_t total_groups() const = 0;
+  std::int64_t total_groups() const;
 
   /// Export the packed golden codes (deployment artifact payload).
   virtual std::vector<std::vector<std::uint8_t>> export_golden() const = 0;
@@ -169,8 +172,8 @@ class IntegrityScheme {
   /// whole lifetime: a file-backed source must stay immutable after
   /// installation (mappings track page-cache writes), so external
   /// sources belong on read-only provisioned storage.
-  virtual void set_clean_source(std::shared_ptr<const void> holder,
-                                std::span<const std::int8_t> bytes) = 0;
+  void set_clean_source(std::shared_ptr<const void> holder,
+                        std::span<const std::int8_t> bytes);
 
   /// Whole-arena view of the clean (golden) weight bytes backing
   /// kReloadClean — the owned attach-time snapshot or the external
@@ -178,41 +181,7 @@ class IntegrityScheme {
   /// host byte-compare the live arena against the golden copy, catching
   /// corruption the scheme's codes cannot see (e.g. non-MSB flips under
   /// a 2-bit MSB signature).
-  virtual std::span<const std::int8_t> clean_arena_bytes() const {
-    return {};
-  }
-};
-
-/// Shared plumbing of grouped schemes: per-layer GroupLayouts derived from
-/// SchemeParams, the clean snapshot, and the layer-loop defaults.
-/// Subclasses implement scan_layer_into (the zero-allocation path);
-/// scan_layer is provided here as the allocating wrapper around it.
-class SchemeBase : public IntegrityScheme {
- public:
-  const std::string& id() const override { return id_; }
-  const SchemeParams& params() const override { return params_; }
-  bool attached() const override { return !layouts_.empty(); }
-  std::size_t num_layers() const override { return layouts_.size(); }
-  const GroupLayout& layout(std::size_t layer) const override {
-    return layouts_.at(layer);
-  }
-
-  DetectionReport scan(const quant::QuantizedModel& qm) const override;
-  std::vector<std::int64_t> scan_layer(const quant::QuantizedModel& qm,
-                                       std::size_t layer) const override;
-  void recover(quant::QuantizedModel& qm, const DetectionReport& report,
-               RecoveryPolicy policy = RecoveryPolicy::kZeroOut)
-      const override;
-  void resign(const quant::QuantizedModel& qm) override;
-  std::int64_t total_groups() const override;
-  void set_clean_source(std::shared_ptr<const void> holder,
-                        std::span<const std::int8_t> bytes) override;
-
-  /// True when the kReloadClean copy is an external (e.g. mmap'd) source
-  /// rather than an owned arena snapshot.
-  bool clean_source_is_external() const { return clean_holder_ != nullptr; }
-
-  std::span<const std::int8_t> clean_arena_bytes() const override {
+  std::span<const std::int8_t> clean_arena_bytes() const {
     return clean_bytes_;
   }
 
@@ -224,10 +193,8 @@ class SchemeBase : public IntegrityScheme {
   void defer_clean_capture() { defer_clean_capture_ = true; }
 
  protected:
-  SchemeBase(std::string id, const SchemeParams& params);
+  IntegrityScheme(std::string id, const SchemeParams& params);
 
-  /// Layout for one layer of `num_weights` weights per params().
-  GroupLayout make_layout(std::int64_t num_weights) const;
   /// Rebuild layouts_ for every layer of `qm` and capture the clean
   /// weight copy (one arena memcpy).
   void attach_layouts(const quant::QuantizedModel& qm);

@@ -3,7 +3,9 @@
 // Paper §IV.B.2 / Fig. 3: checksum groups are formed from weights that are
 // originally ~W/G locations apart, with a small skew offset (t = 3) so the
 // stride itself is not a fixed, guessable constant. We formalize this as a
-// skewed block interleaver (always a bijection — see DESIGN.md §6):
+// skewed block interleaver — always a bijection, since within each row r
+// the column-to-group map c -> (c + t*r) mod Ng is a rotation and each
+// row is its own slot:
 //
 //   padded W' = Ng * G,  Ng = ceil(W / G) groups of G weights
 //   original index i:  row r = i / Ng, column c = i % Ng

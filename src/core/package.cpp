@@ -548,10 +548,7 @@ PackageLoadReport load_package(const std::string& path,
        std::memcmp(mapped_arena.data(), pkg.blob.data(),
                    pkg.blob.size()) != 0))
     mapped.reset();
-  if (mapped != nullptr) {
-    if (auto* base = dynamic_cast<SchemeBase*>(scheme.get()))
-      base->defer_clean_capture();
-  }
+  if (mapped != nullptr) scheme->defer_clean_capture();
 #endif
 
   scheme->attach(qm, /*sign=*/false);

@@ -23,20 +23,13 @@ void ScanScheduler::plan(const IntegrityScheme& scheme, Config cfg) {
   sweep_end_ = Clock::now();
 
   // Chunks cover contiguous ascending group ranges sized to
-  // ~chunk_bytes of weights; schemes whose range scan is a full-layer
-  // fallback keep one chunk per layer (splitting would rescan the whole
-  // layer per chunk).
-  const bool splittable = scheme.supports_range_scan();
+  // ~chunk_bytes of weights.
   for (std::size_t li = 0; li < scheme.num_layers(); ++li) {
     const GroupLayout& layout = scheme.layout(li);
     const std::int64_t nw = layout.num_weights();
     const std::int64_t ng = layout.num_groups();
-    const std::int64_t chunks =
-        splittable
-            ? std::max<std::int64_t>(
-                  1, std::min(ng, (nw + cfg.chunk_bytes - 1) /
-                                      cfg.chunk_bytes))
-            : 1;
+    const std::int64_t chunks = std::max<std::int64_t>(
+        1, std::min(ng, (nw + cfg.chunk_bytes - 1) / cfg.chunk_bytes));
     const std::int64_t per = (ng + chunks - 1) / chunks;
     for (std::int64_t b = 0; b < ng; b += per) {
       const std::int64_t e = std::min(b + per, ng);
@@ -69,25 +62,17 @@ std::int64_t ScanScheduler::coverage_age_ns() const {
       .count();
 }
 
-void ScanScheduler::scan_range(const quant::QuantizedModel& qm,
-                               std::size_t layer, std::int64_t begin,
-                               std::int64_t end,
-                               std::vector<std::int64_t>& flags,
-                               ScanScratch& scratch) {
-  // Whole-layer fast path when the range covers every group.
-  if (begin == 0 && end == scheme_->layout(layer).num_groups())
-    scheme_->scan_layer_into(qm, layer, flags, scratch);
-  else
-    scheme_->scan_layer_range_into(qm, layer, begin, end, flags, scratch);
-}
-
 void ScanScheduler::scan_range_guarded(const quant::QuantizedModel& qm,
                                        std::size_t layer,
                                        std::int64_t begin,
                                        std::int64_t end) {
+  const auto scan = [&] {
+    scheme_->scan_layer_range_into(qm, layer, begin, end, chunk_flags_,
+                                   scratch_[0]);
+  };
   quant::EpochGuard* guard = qm.epoch_guard();
   if (guard == nullptr) {
-    scan_range(qm, layer, begin, end, chunk_flags_, scratch_[0]);
+    scan();
     return;
   }
   // The validated range is the layer's whole byte range: interleaved
@@ -101,7 +86,7 @@ void ScanScheduler::scan_range_guarded(const quant::QuantizedModel& qm,
       std::this_thread::yield();
       continue;
     }
-    scan_range(qm, layer, begin, end, chunk_flags_, scratch_[0]);
+    scan();
     if (guard->read_validate(b0, b1, epoch_snap_)) {
       done = true;
     } else {
@@ -113,7 +98,7 @@ void ScanScheduler::scan_range_guarded(const quant::QuantizedModel& qm,
     // hot writer can delay detection, never defeat it.
     ++epoch_fallbacks_;
     auto lock = guard->lock_writers();
-    scan_range(qm, layer, begin, end, chunk_flags_, scratch_[0]);
+    scan();
   }
 }
 
@@ -150,8 +135,9 @@ void ScanScheduler::scan_run(const quant::QuantizedModel& qm,
     std::size_t j = i + 1;
     while (j < last && plan_[j].layer == plan_[i].layer)
       chunk_slots_[j++].flags.clear();
-    scan_range(qm, plan_[i].layer, plan_[i].begin, plan_[j - 1].end,
-               chunk_slots_[i].flags, scratch);
+    scheme_->scan_layer_range_into(qm, plan_[i].layer, plan_[i].begin,
+                                   plan_[j - 1].end, chunk_slots_[i].flags,
+                                   scratch);
     i = j;
   }
 }

@@ -3,18 +3,18 @@
 // Package verification, ProtectedModel, every campaign mode and the serve
 // scanner all scan through this class. plan() partitions an attached
 // scheme into chunks of ~chunk_bytes of weights: contiguous ascending
-// group ranges of one layer, or one chunk per layer for schemes without a
-// native range kernel (splitting those would rescan the whole layer per
-// chunk). run_slice() drains the plan — queued dirty groups first (fed by
-// recovery writes), then round-robin chunks — in *slices* bounded by a
-// budget (X µs or Y bytes per slice), resumable mid-layer via
-// scan_layer_range_into. A caller interleaves slices with inference
-// batches; the budget is the dial between detection latency and
-// throughput, and the completed-sweep cadence is the coverage guarantee.
+// group ranges of one layer, each scanned by the scheme's one dense
+// primitive, scan_layer_range_into. run_slice() drains the plan — queued
+// dirty groups first (fed by recovery writes), then round-robin chunks —
+// in *slices* bounded by a budget (X µs or Y bytes per slice), resumable
+// mid-layer. A caller interleaves slices with inference batches; the
+// budget is the dial between detection latency and throughput, and the
+// completed-sweep cadence is the coverage guarantee.
 //
 // Report identity: a completed sweep accumulates chunk flags in plan
-// order, so `last_sweep_report()` equals a serial `scheme.scan(qm)` bit
-// for bit for ANY budget, chunk size or worker count. Dirty-queue
+// order, so `last_sweep_report()` equals a serial `scheme.scan(qm)` —
+// the same range primitive over whole layers — bit for bit for ANY
+// budget, chunk size or worker count. Dirty-queue
 // rescans are reported through `slice_flags()` only and never merged into
 // the sweep report, so the identity survives priority preemption.
 //
@@ -193,9 +193,6 @@ class ScanScheduler {
   void scan_range_guarded(const quant::QuantizedModel& qm,
                           std::size_t layer, std::int64_t begin,
                           std::int64_t end);
-  void scan_range(const quant::QuantizedModel& qm, std::size_t layer,
-                  std::int64_t begin, std::int64_t end,
-                  std::vector<std::int64_t>& flags, ScanScratch& scratch);
   /// Scan chunks [first, last) into chunk_slots_, one kernel call per
   /// layer piece (flags in the piece's first slot, the rest cleared).
   void scan_run(const quant::QuantizedModel& qm, std::size_t first,

@@ -1,7 +1,8 @@
 // ScanScratch: caller-provided working memory for the scan hot path.
 //
-// Every zero-allocation scan entry point (LayerScanner::masked_sums_into,
-// IntegrityScheme::scan_layer_into / scan_layer_groups) borrows its
+// Every zero-allocation scan entry point
+// (LayerScanner::masked_sums_range_into,
+// IntegrityScheme::scan_layer_range_into / scan_layer_groups) borrows its
 // buffers from one of these instead of heap-allocating per call. The
 // buffers grow to the high-water mark of the layers they serve and are
 // then reused, so a steady-state scan loop performs zero allocations.

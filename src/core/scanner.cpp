@@ -26,8 +26,7 @@ inline std::int64_t dot_i8_i64(const std::int8_t* w, const std::int8_t* s,
 }
 
 /// acc[k] += w[k] * s[k] over a contiguous segment — the rotated-row
-/// accumulation step of the interleaved scan (and its range-window
-/// variant), dispatched like dot_i8_i32.
+/// accumulation step of the interleaved scan, dispatched like dot_i8_i32.
 inline void axpy_i8_i32(std::int32_t* acc, const std::int8_t* w,
                         const std::int8_t* s, std::int64_t n) {
   simd::axpy_i8(acc, w, s, n);
@@ -71,55 +70,6 @@ LayerScanner::LayerScanner(const GroupLayout& layout, const MaskStream& mask,
   }
 }
 
-void LayerScanner::masked_sums_into(std::span<const std::int8_t> weights,
-                                    ScanScratch& scratch) const {
-  RADAR_REQUIRE(static_cast<std::int64_t>(weights.size()) == num_weights_,
-                "weight buffer size does not match scanner");
-  const std::int64_t g = group_size_;
-  const std::int64_t ng = num_groups_;
-  scratch.sums.resize(static_cast<std::size_t>(ng));
-  const std::int8_t* w = weights.data();
-  const std::int8_t* s = sign_rm_.data();
-  if (!interleaved_) {
-    // Contiguous layout: groups are contiguous weight slices.
-    const bool wide = g > kInt32SafeGroupSize;
-    for (std::int64_t grp = 0; grp < ng; ++grp) {
-      const std::int64_t base = grp * g;
-      const std::int64_t n = std::min(g, num_weights_ - base);
-      scratch.sums[static_cast<std::size_t>(grp)] =
-          wide ? dot_i8_i64(w + base, s + base, n)
-               : static_cast<std::int64_t>(dot_i8_i32(w + base, s + base, n));
-    }
-    return;
-  }
-  if (g > kInt32SafeGroupSize) {
-    // Pathological group sizes could overflow the int32 accumulators;
-    // take the exact int64 per-group path instead.
-    for (std::int64_t grp = 0; grp < ng; ++grp)
-      scratch.sums[static_cast<std::size_t>(grp)] = group_sum(weights, grp);
-    return;
-  }
-  // Interleaved layout: within row r, index i = r*ng + c belongs to group
-  // (c + skew*r) mod ng — consecutive indices hit consecutive groups, so
-  // each row folds into the accumulator as two contiguous rotated
-  // segments. One sequential pass over weights and signs; the ng int32
-  // accumulators stay cache-hot.
-  scratch.acc.resize(static_cast<std::size_t>(ng));
-  std::int32_t* acc = scratch.acc.data();
-  std::fill(acc, acc + ng, 0);
-  for (std::int64_t row = 0; row * ng < num_weights_; ++row) {
-    const std::int64_t base = row * ng;
-    const std::int64_t len = std::min(ng, num_weights_ - base);
-    const std::int64_t off = (skew_ * row) % ng;
-    const std::int64_t first = std::min(len, ng - off);
-    axpy_i8_i32(acc + off, w + base, s + base, first);
-    axpy_i8_i32(acc, w + base + first, s + base + first, len - first);
-  }
-  for (std::int64_t grp = 0; grp < ng; ++grp)
-    scratch.sums[static_cast<std::size_t>(grp)] =
-        static_cast<std::int64_t>(acc[grp]);
-}
-
 void LayerScanner::masked_sums_range_into(
     std::span<const std::int8_t> weights, std::int64_t group_begin,
     std::int64_t group_end, ScanScratch& scratch) const {
@@ -148,6 +98,8 @@ void LayerScanner::masked_sums_range_into(
     return;
   }
   if (g > kInt32SafeGroupSize) {
+    // Pathological group sizes could overflow the int32 accumulators;
+    // take the exact int64 per-group path instead.
     for (std::int64_t grp = group_begin; grp < group_end; ++grp)
       scratch.sums[static_cast<std::size_t>(grp - group_begin)] =
           group_sum(weights, grp);
@@ -156,22 +108,26 @@ void LayerScanner::masked_sums_range_into(
   // Interleaved layout: within row r, group grp's member sits at column
   // c = (grp - skew*r) mod ng. The range's columns form one rotated
   // window of width m per row — at most two contiguous segments, each
-  // folding into the m accumulators with the same widening-add kernel as
-  // the full scan (acc index advances in lockstep with the column).
+  // folding into the m accumulators (acc index advances in lockstep with
+  // the column). The window's first column steps back by skew mod ng per
+  // row, and the wrapped segment is folded first, so each row is read in
+  // ascending address order. One sequential pass over the window's weight
+  // and sign bytes; the m int32 accumulators stay cache-hot.
   scratch.acc.resize(static_cast<std::size_t>(m));
   std::int32_t* acc = scratch.acc.data();
   std::fill(acc, acc + m, 0);
-  for (std::int64_t row = 0; row * ng < num_weights_; ++row) {
-    const std::int64_t base = row * ng;
+  const std::int64_t step = skew_ % ng;
+  std::int64_t c0 = group_begin;  // column of the range's first group
+  for (std::int64_t base = 0; base < num_weights_; base += ng) {
     const std::int64_t len = std::min(ng, num_weights_ - base);
-    // Column of the range's first group in this row.
-    const std::int64_t c0 = ((group_begin - skew_ * row) % ng + ng) % ng;
-    // Segment A: columns [c0, min(c0 + m, ng)) -> acc[0 ..).
-    const std::int64_t a_end = std::min({c0 + m, ng, len});
-    if (a_end > c0) axpy_i8_i32(acc, w + base + c0, s + base + c0, a_end - c0);
-    // Segment B (wrap): columns [0, c0 + m - ng) -> acc[ng - c0 ..).
+    // Wrapped segment: columns [0, c0 + m - ng) -> acc[ng - c0 ..).
     const std::int64_t b_end = std::min(c0 + m - ng, len);
     if (b_end > 0) axpy_i8_i32(acc + (ng - c0), w + base, s + base, b_end);
+    // Columns [c0, min(c0 + m, ng)) -> acc[0 ..).
+    const std::int64_t a_end = std::min({c0 + m, ng, len});
+    if (a_end > c0) axpy_i8_i32(acc, w + base + c0, s + base + c0, a_end - c0);
+    c0 -= step;
+    if (c0 < 0) c0 += ng;
   }
   for (std::int64_t k = 0; k < m; ++k)
     scratch.sums[static_cast<std::size_t>(k)] =
@@ -209,14 +165,14 @@ Signature LayerScanner::group_signature_at(
 std::vector<std::int64_t> LayerScanner::masked_sums(
     std::span<const std::int8_t> weights) const {
   ScanScratch scratch;
-  masked_sums_into(weights, scratch);
+  masked_sums_range_into(weights, 0, num_groups_, scratch);
   return std::move(scratch.sums);
 }
 
 std::vector<Signature> LayerScanner::scan(
     std::span<const std::int8_t> weights) const {
   ScanScratch scratch;
-  masked_sums_into(weights, scratch);
+  masked_sums_range_into(weights, 0, num_groups_, scratch);
   std::vector<Signature> out(scratch.sums.size());
   for (std::size_t g = 0; g < scratch.sums.size(); ++g)
     out[g] = binarize(scratch.sums[g], sig_bits_);

@@ -6,19 +6,21 @@
 // hard-wire it, in two complementary shapes:
 //
 //  * row-major mask signs (sign_rm_[i], +1/-1 per original index) drive
-//    the full scan. A contiguous layout reduces each group as a straight
-//    int8 x int8 -> int32 dot product. The skewed interleaver has row
-//    structure — within row r, consecutive indices map to consecutive
-//    groups rotated by (skew*r) mod Ng — so the scan streams the weight
-//    buffer once, adding each row into an L1-resident int32 accumulator
-//    as two contiguous rotated segments. Both shapes autovectorize and
-//    never gather: the pass is sequential over weights and signs.
+//    the one dense kernel, masked_sums_range_into; a whole-layer scan is
+//    its range over every group. A contiguous layout reduces each group
+//    as a straight int8 x int8 -> int32 dot product. The skewed
+//    interleaver has row structure — within row r, consecutive indices
+//    map to consecutive groups rotated by (skew*r) mod Ng — so the kernel
+//    streams the weight buffer once, adding each row's window of the
+//    range into L1-resident int32 accumulators as at most two contiguous
+//    rotated segments. It autovectorizes and never gathers: the pass is
+//    sequential over weights and signs.
 //  * a group-major permutation (perm_[g*G + s] = original index, sign_
 //    alongside, 0-signed padding) drives the O(G) narrow per-group scan
 //    the incremental path is built from.
 //
 // int32 accumulators are exact for any group size up to 2^22 (|w| <= 128),
-// with an int64 fallback above that. The *_into entry points write into
+// with an int64 fallback above that. The *_into entry point writes into
 // caller-provided ScanScratch, so the steady-state scan loop performs
 // zero allocations. All paths are bit-identical to the reference
 // primitives (tested).
@@ -46,21 +48,14 @@ class LayerScanner {
   /// (2^22 * 128 = 2^29 fits; kMaxGroupSize * 128 would not).
   static constexpr std::int64_t kInt32SafeGroupSize = std::int64_t{1} << 22;
 
-  /// All per-group masked sums into scratch.sums (resized to num_groups);
-  /// scratch.acc holds the int32 accumulators of the interleaved row
-  /// kernel (nothing is ever gathered). Zero allocations at steady state.
-  void masked_sums_into(std::span<const std::int8_t> weights,
-                        ScanScratch& scratch) const;
-
   /// Masked sums of groups [group_begin, group_end) only, written to
-  /// scratch.sums[0 .. group_end - group_begin) — the byte-range sharding
-  /// kernel. Work is proportional to the bytes the range covers: the
-  /// contiguous layout reduces each group as a straight dot product, and
-  /// the skewed interleaver reads only the range's rotated column window
-  /// of each row (still contiguous segments, still vectorized). Each
-  /// group's sum accumulates in the same row order as masked_sums_into,
-  /// so results are bit-identical to the corresponding slice of the full
-  /// scan.
+  /// scratch.sums[0 .. group_end - group_begin) — the dense scan kernel
+  /// (a whole-layer scan is the range [0, num_groups())). Work is
+  /// proportional to the bytes the range covers: the contiguous layout
+  /// reduces each group as a straight dot product, and the skewed
+  /// interleaver reads only the range's rotated column window of each row
+  /// (contiguous segments, vectorized) into scratch.acc; nothing is ever
+  /// gathered. Zero allocations at steady state.
   void masked_sums_range_into(std::span<const std::int8_t> weights,
                               std::int64_t group_begin,
                               std::int64_t group_end,

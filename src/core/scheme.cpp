@@ -24,8 +24,8 @@ SchemeParams RadarConfig::to_params() const {
 }
 
 RadarScheme::RadarScheme(const RadarConfig& cfg)
-    : SchemeBase(cfg.signature_bits == 3 ? "radar3" : "radar2",
-                 cfg.to_params()),
+    : IntegrityScheme(cfg.signature_bits == 3 ? "radar3" : "radar2",
+                      cfg.to_params()),
       sig_bits_(cfg.signature_bits) {
   RADAR_REQUIRE(cfg.signature_bits == 2 || cfg.signature_bits == 3,
                 "signature width must be 2 or 3");
@@ -60,28 +60,13 @@ void RadarScheme::resign_layer(const quant::QuantizedModel& qm,
                 "scheme not attached to this model");
   RADAR_REQUIRE(layer < layouts_.size(), "layer out of range");
   const auto& ql = qm.layer(layer);
+  const std::int64_t ng = layouts_[layer].num_groups();
   ScanScratch scratch;
-  scanners_[layer].masked_sums_into(
-      std::span<const std::int8_t>(ql.q.data(), ql.q.size()), scratch);
-  for (std::int64_t g = 0; g < layouts_[layer].num_groups(); ++g)
+  scanners_[layer].masked_sums_range_into(
+      std::span<const std::int8_t>(ql.q.data(), ql.q.size()), 0, ng, scratch);
+  for (std::int64_t g = 0; g < ng; ++g)
     golden_[layer].set(
         g, binarize(scratch.sums[static_cast<std::size_t>(g)], sig_bits_));
-}
-
-void RadarScheme::scan_layer_into(const quant::QuantizedModel& qm,
-                                  std::size_t layer,
-                                  std::vector<std::int64_t>& flagged,
-                                  ScanScratch& scratch) const {
-  RADAR_REQUIRE(attached(), "scan before attach");
-  const auto& ql = qm.layer(layer);
-  scanners_[layer].masked_sums_into(
-      std::span<const std::int8_t>(ql.q.data(), ql.q.size()), scratch);
-  flagged.clear();
-  for (std::int64_t g = 0; g < layouts_[layer].num_groups(); ++g) {
-    if (!(binarize(scratch.sums[static_cast<std::size_t>(g)], sig_bits_) ==
-          golden_[layer].get(g)))
-      flagged.push_back(g);
-  }
 }
 
 void RadarScheme::scan_layer_groups(const quant::QuantizedModel& qm,

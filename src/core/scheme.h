@@ -33,7 +33,7 @@ struct RadarConfig {
   SchemeParams to_params() const;
 };
 
-class RadarScheme : public SchemeBase {
+class RadarScheme : public IntegrityScheme {
  public:
   explicit RadarScheme(const RadarConfig& cfg);
   /// Registry-factory form: grouping from `params`, width from `bits`.
@@ -43,9 +43,6 @@ class RadarScheme : public SchemeBase {
   int signature_bits() const { return sig_bits_; }
 
   void attach(const quant::QuantizedModel& qm, bool sign = true) override;
-  void scan_layer_into(const quant::QuantizedModel& qm, std::size_t layer,
-                       std::vector<std::int64_t>& flagged,
-                       ScanScratch& scratch) const override;
   void scan_layer_groups(const quant::QuantizedModel& qm, std::size_t layer,
                          std::span<const std::int64_t> groups,
                          std::vector<std::int64_t>& flagged,
@@ -55,7 +52,6 @@ class RadarScheme : public SchemeBase {
                              std::int64_t group_end,
                              std::vector<std::int64_t>& flagged,
                              ScanScratch& scratch) const override;
-  bool supports_range_scan() const override { return true; }
   void resign_layer(const quant::QuantizedModel& qm,
                     std::size_t layer) override;
   std::int64_t signature_storage_bytes() const override;
@@ -66,7 +62,7 @@ class RadarScheme : public SchemeBase {
   Signature compute_signature(const quant::QuantizedModel& qm,
                               std::size_t layer, std::int64_t group) const;
 
-  int sig_bits_;  ///< grouping/key fields live in SchemeBase::params_
+  int sig_bits_;  ///< grouping/key fields live in IntegrityScheme::params_
   std::vector<MaskStream> masks_;
   std::vector<LayerScanner> scanners_;  ///< streaming scan tables
   std::vector<SignatureStore> golden_;

@@ -13,7 +13,7 @@ ModelRecipe model_recipe(const std::string& id) {
     r.n_train = 4096;
     r.n_test = 1024;
   } else if (id == "resnet18") {
-    // Paper architecture at reduced width (DESIGN.md §4).
+    // Paper architecture at reduced width, CPU-trainable (nn/resnet.h).
     r.spec = nn::ResNetSpec::resnet18(20, 16);
     r.data_spec = synthetic_imagenet_spec();
     r.data_spec.noise = 0.6;

@@ -1,7 +1,7 @@
 // Procedurally generated image-classification datasets.
 //
-// Stand-ins for CIFAR-10 / ImageNet (unavailable offline — see DESIGN.md
-// §4). Each class has a deterministic signature (grating orientation &
+// Stand-ins for CIFAR-10 / ImageNet, which are not available offline.
+// Each class has a deterministic signature (grating orientation &
 // frequency, color mix, blob position); each sample perturbs the signature
 // with per-sample phase, shift and pixel noise. Difficulty is controlled
 // by the noise level and class count. Everything is reproducible from the

@@ -72,7 +72,7 @@ struct ModelBundle {
 };
 
 /// Load from cache or train: "resnet20" (CIFAR-10 stand-in), "resnet18"
-/// (ImageNet stand-in, reduced width — see DESIGN.md §4), or "tiny"
+/// (ImageNet stand-in, reduced width — see nn/resnet.h), or "tiny"
 /// (seconds-scale bundle for tests and demos).
 ModelBundle load_or_train(const std::string& id);
 

@@ -4,9 +4,10 @@
 // conv3x3-BN plus identity (or 1x1-conv-BN projection) skip, post-add ReLU.
 // The stem is the 3x3 CIFAR variant: the paper's models consume 32x32
 // (ResNet-20) and 224x224 (ResNet-18) inputs; our reproduction trains both
-// on 32x32 synthetic data (see DESIGN.md §4), so ResNet-18 takes a
-// configurable width multiplier to stay CPU-trainable while keeping its
-// 4-stage, 2-blocks-per-stage topology.
+// on 32x32 synthetic data (CIFAR-10 / ImageNet are not available offline;
+// see data/synthetic.h), so ResNet-18 takes a configurable width
+// multiplier to stay CPU-trainable while keeping its 4-stage,
+// 2-blocks-per-stage topology.
 #pragma once
 
 #include <memory>

@@ -1,4 +1,5 @@
-// Analytic timing model — the gem5 stand-in (see DESIGN.md §4).
+// Analytic timing model — the gem5 stand-in (README "Reproducing the
+// paper" lists which reported times it models).
 //
 // Models the paper's platform: Cortex-M4F-class core at 1 GHz streaming
 // int8 weights from DRAM through an L1/L2 hierarchy. Inference time is

@@ -4,7 +4,7 @@
 // attack and recovery sequence:
 //   (a) the reference scalar primitives (masked_group_sum / binarize —
 //       the pre-PR ground truth the original kernel was tested against),
-//   (b) the vectorized full scan (LayerScanner row kernel via a
+//   (b) the vectorized full scan (LayerScanner range kernel via a
 //       ScanScheduler sweep),
 //   (c) the incremental dirty-group scan (ScanScheduler::scan_dirty_into).
 // Plus the undo path: undo_dirty() must return the model to its exact
@@ -34,19 +34,22 @@ nn::ResNetSpec tiny_spec() {
 }
 
 /// One pass of the kernel battery: random layouts / group sizes /
-/// interleave / skew, full + narrow + range-window scans, all checked
-/// against the scalar masked_group_sum ground truth. Runs under whatever
-/// SIMD level is active, so the level-sweep test below exercises every
-/// dispatched variant against the same reference.
+/// interleave / skew (up to 3 Ng, so the per-row column step wraps),
+/// whole-layer, narrow, random range-window and empty-range scans, all
+/// checked against the scalar masked_group_sum ground truth. Runs under
+/// whatever SIMD level is active, so the level-sweep test below exercises
+/// every dispatched variant against the same reference.
 void run_scan_kernel_battery(Rng& rng, int trials) {
   for (int trial = 0; trial < trials; ++trial) {
     const std::int64_t w_count = rng.uniform_int(1, 3000);
     const std::int64_t g = rng.uniform_int(1, 96);
     const bool inter = rng.uniform_int(0, 1) == 1;
-    const std::int64_t skew = rng.uniform_int(0, 7);
+    const std::int64_t ng = (w_count + g - 1) / g;
+    const std::int64_t skew = rng.uniform_int(0, 3 * ng);
     const GroupLayout layout =
         inter ? GroupLayout::interleaved(w_count, g, skew)
               : GroupLayout::contiguous(w_count, g);
+    ASSERT_EQ(layout.num_groups(), ng);
     const MaskStream mask(static_cast<std::uint16_t>(rng.bits() & 0xFFFF),
                           rng.uniform_int(0, 1) == 0
                               ? MaskStream::Expansion::kRepeat
@@ -56,36 +59,37 @@ void run_scan_kernel_battery(Rng& rng, int trials) {
     const std::span<const std::int8_t> ws(w.data(), w.size());
     const int bits = rng.uniform_int(0, 1) == 0 ? 2 : 3;
     const LayerScanner scanner(layout, mask, bits);
-    ScanScratch scratch;
-    scanner.masked_sums_into(ws, scratch);
-    ASSERT_EQ(scratch.sums.size(),
-              static_cast<std::size_t>(layout.num_groups()));
-    for (std::int64_t grp = 0; grp < layout.num_groups(); ++grp) {
-      const std::int64_t ref = masked_group_sum(ws, layout, grp, mask);
-      EXPECT_EQ(scratch.sums[static_cast<std::size_t>(grp)], ref)
-          << "full scan, trial " << trial << " group " << grp;
-      EXPECT_EQ(scanner.group_sum(ws, grp), ref)
+    std::vector<std::int64_t> ref(static_cast<std::size_t>(ng));
+    for (std::int64_t grp = 0; grp < ng; ++grp) {
+      ref[static_cast<std::size_t>(grp)] =
+          masked_group_sum(ws, layout, grp, mask);
+      EXPECT_EQ(scanner.group_sum(ws, grp), ref[static_cast<std::size_t>(grp)])
           << "narrow scan, trial " << trial << " group " << grp;
       EXPECT_TRUE(scanner.group_signature_at(ws, grp) ==
                   group_signature(ws, layout, grp, mask, bits))
           << "signature, trial " << trial << " group " << grp;
     }
-    // The byte-range sharding kernel: random group ranges must reproduce
-    // the corresponding slice of the full sums exactly (the sharded
-    // whole-model scan is bit-identical only because of this).
-    const std::vector<std::int64_t> full_sums = scratch.sums;
-    ScanScratch range_scratch;
-    for (int r = 0; r < 6; ++r) {
-      const std::int64_t a = rng.uniform_int(0, layout.num_groups());
-      const std::int64_t b = rng.uniform_int(0, layout.num_groups());
-      const std::int64_t lo = std::min(a, b), hi = std::max(a, b);
-      scanner.masked_sums_range_into(ws, lo, hi, range_scratch);
-      ASSERT_EQ(range_scratch.sums.size(), static_cast<std::size_t>(hi - lo));
-      for (std::int64_t g = lo; g < hi; ++g)
-        EXPECT_EQ(range_scratch.sums[static_cast<std::size_t>(g - lo)],
-                  full_sums[static_cast<std::size_t>(g)])
+    // The dense kernel: the whole layer [0, ng), random group ranges and
+    // an empty range must each reproduce the scalar sums of their groups
+    // exactly (the sharded whole-model scan is bit-identical only because
+    // of this).
+    ScanScratch scratch;
+    const auto check_range = [&](std::int64_t lo, std::int64_t hi) {
+      scanner.masked_sums_range_into(ws, lo, hi, scratch);
+      ASSERT_EQ(scratch.sums.size(), static_cast<std::size_t>(hi - lo));
+      for (std::int64_t grp = lo; grp < hi; ++grp)
+        EXPECT_EQ(scratch.sums[static_cast<std::size_t>(grp - lo)],
+                  ref[static_cast<std::size_t>(grp)])
             << "range [" << lo << ", " << hi << "), trial " << trial
-            << " group " << g;
+            << " group " << grp;
+    };
+    check_range(0, ng);
+    const std::int64_t empty_at = rng.uniform_int(0, ng);
+    check_range(empty_at, empty_at);
+    for (int r = 0; r < 6; ++r) {
+      const std::int64_t a = rng.uniform_int(0, ng);
+      const std::int64_t b = rng.uniform_int(0, ng);
+      check_range(std::min(a, b), std::max(a, b));
     }
   }
 }

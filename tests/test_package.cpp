@@ -333,29 +333,37 @@ TEST_F(PackageTest, V2ToV3MigrationPreservesReportsAndLogits) {
 }
 
 TEST_F(PackageTest, MmapGoldenBacksReloadCleanRecovery) {
-  RadarScheme scheme = make_signed_scheme();
-  save_package(path_, qm_, scheme, "mmap-golden");
+  // Both scheme families: the mmap load skips the owned clean-copy
+  // capture (defer_clean_capture), so recovery must read the mapping.
+  for (const std::string id : {"radar2", "crc13"}) {
+    SCOPED_TRACE(id);
+    auto scheme = SchemeRegistry::instance().create(
+        id, SchemeParams{.group_size = 32});
+    scheme->attach(qm_);
+    save_package(path_, qm_, *scheme, "mmap-golden");
 
-  Rng rng2(77);
-  nn::ResNet fresh(tiny_spec(), rng2);
-  quant::QuantizedModel qm2(fresh);
-  std::unique_ptr<IntegrityScheme> s;
-  PackageLoadOptions opts;
-  opts.mmap_golden = true;
-  const PackageLoadReport report = load_package(path_, qm2, s, opts);
-  EXPECT_TRUE(report.verified());
+    Rng rng2(77);
+    nn::ResNet fresh(tiny_spec(), rng2);
+    quant::QuantizedModel qm2(fresh);
+    std::unique_ptr<IntegrityScheme> s;
+    PackageLoadOptions opts;
+    opts.mmap_golden = true;
+    const PackageLoadReport report = load_package(path_, qm2, s, opts);
+    EXPECT_TRUE(report.verified());
+    EXPECT_EQ(s->id(), id);
 #if defined(__unix__) || defined(__APPLE__)
-  EXPECT_TRUE(report.golden_mmapped);
+    EXPECT_TRUE(report.golden_mmapped);
 #endif
-  const quant::ArenaSnapshot clean = qm2.snapshot();
-  // Corrupt in memory, then recover straight from the file mapping.
-  qm2.flip_bit(1, 5, kMsb);
-  qm2.flip_bit(3, 9, kMsb);
-  const DetectionReport tamper = s->scan(qm2);
-  EXPECT_TRUE(tamper.attack_detected());
-  s->recover(qm2, tamper, RecoveryPolicy::kReloadClean);
-  EXPECT_TRUE(qm2.snapshot() == clean);
-  EXPECT_FALSE(s->scan(qm2).attack_detected());
+    const quant::ArenaSnapshot clean = qm2.snapshot();
+    // Corrupt in memory, then recover straight from the file mapping.
+    qm2.flip_bit(1, 5, kMsb);
+    qm2.flip_bit(3, 9, kMsb);
+    const DetectionReport tamper = s->scan(qm2);
+    EXPECT_TRUE(tamper.attack_detected());
+    s->recover(qm2, tamper, RecoveryPolicy::kReloadClean);
+    EXPECT_TRUE(qm2.snapshot() == clean);
+    EXPECT_FALSE(s->scan(qm2).attack_detected());
+  }
 }
 
 TEST_F(PackageTest, MmapFallsBackForV2Packages) {

@@ -140,7 +140,7 @@ TEST_F(ScanSchedulerTest, UnlimitedSweepMatchesSerialScanByteForByte) {
       ScanScheduler::Config cfg;
       cfg.chunk_bytes = chunk_bytes;
       sched.plan(*scheme, cfg);
-      if (chunk_bytes == 64 && scheme->supports_range_scan()) {
+      if (chunk_bytes == 64) {
         EXPECT_GT(sched.num_chunks(), qm_.num_layers())
             << id << ": small chunks should split layers";
       }
