@@ -17,7 +17,8 @@
 //     scan at every thread count, and throughput is asserted
 //     monotone-or-flat in the thread count (exit 1 on regression): the
 //     drain clamps workers to the hardware core count, so requesting
-//     more threads must never scan slower than requesting fewer.
+//     more threads must never scan slower than requesting fewer. Each
+//     row is the median of 7 interleaved rounds over the thread counts.
 //
 //  3. Load balance (machine-independent): the critical-path bytes of a
 //     greedy T-worker schedule over the scheduler's chunk plan, against
@@ -144,30 +145,43 @@ int main() {
   bench::rule();
   core::ScanScheduler sched;
   sched.plan(*scheme, {});
-  double base_ns = 0.0;
+  // The thread counts are measured in interleaved rounds (t1 t2 t4 t8,
+  // each round starting one count later) and compared by their medians:
+  // on a shared box, CPU steal comes in bursts that would otherwise land
+  // on whichever count happened to run during one.
+  constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
+  constexpr std::size_t kCounts = std::size(kThreadCounts);
+  constexpr int kRounds = 7;
+  std::vector<std::unique_ptr<ThreadPool>> pools;
   bool identical = true;
-  std::vector<std::pair<std::size_t, double>> byterange_ns;
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  for (const std::size_t threads : kThreadCounts) {
+    pools.push_back(threads > 1 ? std::make_unique<ThreadPool>(threads)
+                                : nullptr);
     // Warm up pool + scratch.
-    identical = identical &&
-                sched.sweep(qm, pool.get()).flagged == serial_report.flagged;
-    // Min of three passes: shared CI boxes see CPU steal spikes well
-    // above the real row-to-row differences this section gates on.
-    double ns = 1e300;
-    for (int pass = 0; pass < 3; ++pass) {
-      ns = std::min(ns, bench::measure_ns_per_op([&] {
-        g_sink = g_sink + sched.sweep(qm, pool.get()).num_flagged_groups();
+    identical = identical && sched.sweep(qm, pools.back().get()).flagged ==
+                                 serial_report.flagged;
+  }
+  std::vector<std::vector<double>> samples(kCounts);
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t k = 0; k < kCounts; ++k) {
+      const std::size_t i = (static_cast<std::size_t>(round) + k) % kCounts;
+      samples[i].push_back(bench::measure_ns_per_op([&] {
+        g_sink = g_sink + sched.sweep(qm, pools[i].get()).num_flagged_groups();
       }));
     }
+  }
+  std::vector<std::pair<std::size_t, double>> byterange_ns;
+  for (std::size_t i = 0; i < kCounts; ++i) {
+    std::vector<double>& v = samples[i];
+    std::sort(v.begin(), v.end());
+    const double ns = v[v.size() / 2];
     char name[64];
-    std::snprintf(name, sizeof(name), "scan_byterange_t%zu", threads);
-    if (threads == 1) base_ns = ns;
-    byterange_ns.emplace_back(threads, ns);
+    std::snprintf(name, sizeof(name), "scan_byterange_t%zu",
+                  kThreadCounts[i]);
+    byterange_ns.emplace_back(kThreadCounts[i], ns);
     json.add(name, ns, bytes);
     std::printf("  %-28s %16.1f %9.2f %8.2fx\n", name, ns, bytes / ns,
-                base_ns / ns);
+                byterange_ns.front().second / ns);
   }
   std::printf("  reports byte-identical across thread counts: %s\n",
               identical ? "yes" : "NO");

@@ -5,7 +5,9 @@
 // state once and stepping it through several rows before storing it back
 // is what makes the fold fast (a CRC takes 8 rows as one slicing-by-8
 // step), so rows go to a fused kernel kFusedRows at a time and only the
-// remainder is folded one row at a time.
+// remainder is folded one row at a time. The interleaved row loop
+// (core/row_pass.h) hands a fold kFusedRows rows per pass, so only a
+// group's last pass can leave a remainder.
 #pragma once
 
 #include <cstddef>

@@ -35,10 +35,20 @@ std::int32_t dot_i8_scalar(const std::int8_t* a, const std::int8_t* b,
   return acc;
 }
 
-void axpy_i8_scalar(std::int32_t* acc, const std::int8_t* w,
-                    const std::int8_t* s, std::int64_t n) {
-  for (std::int64_t k = 0; k < n; ++k)
-    acc[k] += static_cast<std::int32_t>(w[k]) * static_cast<std::int32_t>(s[k]);
+/// Columns [k, n) of masked_add_rows: the scalar variant (k = 0) and the
+/// vector variants' tails.
+void masked_add_rows_from(std::int32_t* acc, const std::int8_t* const* w,
+                          const std::int8_t* const* s, int nrows,
+                          std::int64_t k, std::int64_t n) {
+  for (int j = 0; j < nrows; ++j)
+    for (std::int64_t i = k; i < n; ++i)
+      acc[i] += static_cast<std::int32_t>(w[j][i]) * s[j][i];
+}
+
+void masked_add_rows_scalar(std::int32_t* acc, const std::int8_t* const* w,
+                            const std::int8_t* const* s, int nrows,
+                            std::int64_t n) {
+  masked_add_rows_from(acc, w, s, nrows, 0, n);
 }
 
 bool bytes_equal_scalar(const void* a, const void* b, std::size_t n) {
@@ -80,30 +90,30 @@ __attribute__((target("avx2"))) std::int32_t dot_i8_avx2(
   return result;
 }
 
-__attribute__((target("avx2"))) void axpy_i8_avx2(std::int32_t* acc,
-                                                  const std::int8_t* w,
-                                                  const std::int8_t* s,
-                                                  std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i vw = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i)));
-    const __m256i vs = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + i)));
-    const __m256i prod = _mm256_mullo_epi16(vw, vs);  // |p| <= 2^14, exact
-    const __m256i lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod));
-    const __m256i hi =
-        _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1));
-    __m256i* accp = reinterpret_cast<__m256i*>(acc + i);
-    _mm256_storeu_si256(
-        accp, _mm256_add_epi32(_mm256_loadu_si256(accp), lo));
-    __m256i* accp2 = reinterpret_cast<__m256i*>(acc + i + 8);
-    _mm256_storeu_si256(
-        accp2, _mm256_add_epi32(_mm256_loadu_si256(accp2), hi));
+// Each row's products are widened to int16 lanes and summed there: with
+// signs in {-1, 0, +1} a lane of R <= 8 rows stays within |8 * 128| =
+// 1024, so the int16 sum is exact and reaches int32 with one add.
+__attribute__((target("avx2"))) void masked_add_rows_avx2(
+    std::int32_t* acc, const std::int8_t* const* w,
+    const std::int8_t* const* s, int nrows, std::int64_t n) {
+  std::int64_t k = 0;
+  for (; k + 16 <= n; k += 16) {
+    __m256i sum = _mm256_setzero_si256();
+    for (int j = 0; j < nrows; ++j) {
+      const __m256i vw = _mm256_cvtepi8_epi16(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w[j] + k)));
+      const __m256i vs = _mm256_cvtepi8_epi16(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(s[j] + k)));
+      sum = _mm256_add_epi16(sum, _mm256_sign_epi16(vw, vs));
+    }
+    __m256i* a0 = reinterpret_cast<__m256i*>(acc + k);
+    __m256i* a1 = reinterpret_cast<__m256i*>(acc + k + 8);
+    _mm256_storeu_si256(a0, _mm256_add_epi32(_mm256_loadu_si256(a0),
+        _mm256_cvtepi16_epi32(_mm256_castsi256_si128(sum))));
+    _mm256_storeu_si256(a1, _mm256_add_epi32(_mm256_loadu_si256(a1),
+        _mm256_cvtepi16_epi32(_mm256_extracti128_si256(sum, 1))));
   }
-  for (; i < n; ++i)
-    acc[i] +=
-        static_cast<std::int32_t>(w[i]) * static_cast<std::int32_t>(s[i]);
+  masked_add_rows_from(acc, w, s, nrows, k, n);
 }
 
 __attribute__((target("avx2"))) bool bytes_equal_avx2(const void* pa,
@@ -190,28 +200,32 @@ dot_i8_vnni(const std::int8_t* a, const std::int8_t* b, std::int64_t n) {
   return result;
 }
 
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void axpy_i8_avx512(
-    std::int32_t* acc, const std::int8_t* w, const std::int8_t* s,
-    std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m512i vw = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i)));
-    const __m512i vs = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + i)));
-    const __m512i prod = _mm512_mullo_epi16(vw, vs);
-    const __m512i lo = _mm512_cvtepi16_epi32(_mm512_castsi512_si256(prod));
-    const __m512i hi =
-        _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(prod, 1));
-    _mm512_storeu_si512(
-        acc + i, _mm512_add_epi32(_mm512_loadu_si512(acc + i), lo));
-    _mm512_storeu_si512(
-        acc + i + 16,
-        _mm512_add_epi32(_mm512_loadu_si512(acc + i + 16), hi));
+// 32 columns per step; the last step runs under a lane mask (masked-off
+// lanes are neither loaded nor stored), so short rows stay vectorized.
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void
+masked_add_rows_avx512(std::int32_t* acc, const std::int8_t* const* w,
+                       const std::int8_t* const* s, int nrows,
+                       std::int64_t n) {
+  for (std::int64_t k = 0; k < n; k += 32) {
+    const __mmask32 m =
+        n - k >= 32 ? ~__mmask32{0} : (__mmask32{1} << (n - k)) - 1;
+    __m512i sum = _mm512_setzero_si512();
+    for (int j = 0; j < nrows; ++j) {
+      const __m512i vw =
+          _mm512_cvtepi8_epi16(_mm256_maskz_loadu_epi8(m, w[j] + k));
+      const __m512i vs =
+          _mm512_cvtepi8_epi16(_mm256_maskz_loadu_epi8(m, s[j] + k));
+      sum = _mm512_add_epi16(sum, _mm512_mullo_epi16(vw, vs));
+    }
+    const auto lo = static_cast<__mmask16>(m);
+    const auto hi = static_cast<__mmask16>(m >> 16);
+    _mm512_mask_storeu_epi32(acc + k, lo, _mm512_add_epi32(
+        _mm512_maskz_loadu_epi32(lo, acc + k),
+        _mm512_cvtepi16_epi32(_mm512_castsi512_si256(sum))));
+    _mm512_mask_storeu_epi32(acc + k + 16, hi, _mm512_add_epi32(
+        _mm512_maskz_loadu_epi32(hi, acc + k + 16),
+        _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(sum, 1))));
   }
-  for (; i < n; ++i)
-    acc[i] +=
-        static_cast<std::int32_t>(w[i]) * static_cast<std::int32_t>(s[i]);
 }
 
 __attribute__((target("avx512f,avx512bw,avx512vl"))) bool bytes_equal_avx512(
@@ -262,19 +276,19 @@ std::int32_t dot_i8_neon(const std::int8_t* a, const std::int8_t* b,
   return result;
 }
 
-void axpy_i8_neon(std::int32_t* acc, const std::int8_t* w,
-                  const std::int8_t* s, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const int16x8_t prod = vmull_s8(vld1_s8(w + i), vld1_s8(s + i));
-    vst1q_s32(acc + i,
-              vaddw_s16(vld1q_s32(acc + i), vget_low_s16(prod)));
-    vst1q_s32(acc + i + 4,
-              vaddw_s16(vld1q_s32(acc + i + 4), vget_high_s16(prod)));
+void masked_add_rows_neon(std::int32_t* acc, const std::int8_t* const* w,
+                          const std::int8_t* const* s, int nrows,
+                          std::int64_t n) {
+  std::int64_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    int16x8_t sum = vdupq_n_s16(0);
+    for (int j = 0; j < nrows; ++j)
+      sum = vmlal_s8(sum, vld1_s8(w[j] + k), vld1_s8(s[j] + k));
+    vst1q_s32(acc + k, vaddw_s16(vld1q_s32(acc + k), vget_low_s16(sum)));
+    vst1q_s32(acc + k + 4,
+              vaddw_s16(vld1q_s32(acc + k + 4), vget_high_s16(sum)));
   }
-  for (; i < n; ++i)
-    acc[i] +=
-        static_cast<std::int32_t>(w[i]) * static_cast<std::int32_t>(s[i]);
+  masked_add_rows_from(acc, w, s, nrows, k, n);
 }
 
 #endif  // RADAR_SIMD_NEON
@@ -300,18 +314,18 @@ const DotI8Fn* dot_i8_table() {
   return table.data();
 }
 
-const AxpyI8Fn* axpy_i8_table() {
-  static const std::array<AxpyI8Fn, cpu::kNumSimdLevels> table = [] {
-    std::array<AxpyI8Fn, cpu::kNumSimdLevels> t;
-    t.fill(&axpy_i8_scalar);
+const MaskedAddRowsFn* masked_add_rows_table() {
+  static const std::array<MaskedAddRowsFn, cpu::kNumSimdLevels> table = [] {
+    std::array<MaskedAddRowsFn, cpu::kNumSimdLevels> t;
+    t.fill(&masked_add_rows_scalar);
 #if defined(RADAR_SIMD_X86)
     if (cpu::level_supported(cpu::SimdLevel::kAvx2))
-      t[static_cast<int>(cpu::SimdLevel::kAvx2)] = &axpy_i8_avx2;
+      t[static_cast<int>(cpu::SimdLevel::kAvx2)] = &masked_add_rows_avx2;
     if (cpu::level_supported(cpu::SimdLevel::kAvx512))
-      t[static_cast<int>(cpu::SimdLevel::kAvx512)] = &axpy_i8_avx512;
+      t[static_cast<int>(cpu::SimdLevel::kAvx512)] = &masked_add_rows_avx512;
 #endif
 #if defined(RADAR_SIMD_NEON)
-    t[static_cast<int>(cpu::SimdLevel::kNeon)] = &axpy_i8_neon;
+    t[static_cast<int>(cpu::SimdLevel::kNeon)] = &masked_add_rows_neon;
 #endif
     return t;
   }();

@@ -10,9 +10,9 @@
 //                  contiguous-group masked sum and the linear-layer
 //                  reduction. AVX-512 uses `vpdpbusd` (VNNI) when the
 //                  machine has it, with the exact +128 bias correction.
-//   * axpy_i8    — acc[k] += w[k] * s[k] over a contiguous segment: the
-//                  rotated-row accumulation step of the interleaved
-//                  range scan.
+//   * masked_add_rows — acc[k] += sum_j w[j][k] * s[j][k] over up to 8
+//                  rows with signs in {-1, 0, +1}: one row pass of the
+//                  interleaved masked-sum scan, summed in int16 lanes.
 //   * bytes_equal — whole-buffer equality: snapshot compare / restore's
 //                  changed-layer probe.
 //
@@ -33,15 +33,16 @@ namespace radar::simd {
 
 using DotI8Fn = std::int32_t (*)(const std::int8_t*, const std::int8_t*,
                                  std::int64_t);
-using AxpyI8Fn = void (*)(std::int32_t*, const std::int8_t*,
-                          const std::int8_t*, std::int64_t);
+using MaskedAddRowsFn = void (*)(std::int32_t*, const std::int8_t* const*,
+                                 const std::int8_t* const*, int,
+                                 std::int64_t);
 using BytesEqualFn = bool (*)(const void*, const void*, std::size_t);
 
 /// The per-kernel dispatch tables, indexed by cpu::SimdLevel. Entries
 /// for levels this build / machine cannot run point at the scalar
 /// reference (set_active_level clamps before they would be hit anyway).
 const DotI8Fn* dot_i8_table();
-const AxpyI8Fn* axpy_i8_table();
+const MaskedAddRowsFn* masked_add_rows_table();
 const BytesEqualFn* bytes_equal_table();
 
 /// Contiguous dot product sum_k a[k]*b[k] with exact int32 result.
@@ -54,10 +55,16 @@ inline std::int32_t dot_i8(const std::int8_t* a, const std::int8_t* b,
   return dot_i8_table()[static_cast<int>(cpu::active_level())](a, b, n);
 }
 
-/// acc[k] += w[k] * s[k], elementwise over a contiguous segment.
-inline void axpy_i8(std::int32_t* acc, const std::int8_t* w,
-                    const std::int8_t* s, std::int64_t n) {
-  axpy_i8_table()[static_cast<int>(cpu::active_level())](acc, w, s, n);
+/// Most rows one masked_add_rows call folds.
+inline constexpr int kMaskedAddMaxRows = 8;
+
+/// acc[k] += sum_{j < nrows} w[j][k] * s[j][k] for k in [0, n), with
+/// 1 <= nrows <= kMaskedAddMaxRows and every s[j][k] in {-1, 0, +1}.
+inline void masked_add_rows(std::int32_t* acc, const std::int8_t* const* w,
+                            const std::int8_t* const* s, int nrows,
+                            std::int64_t n) {
+  masked_add_rows_table()[static_cast<int>(cpu::active_level())](acc, w, s,
+                                                                 nrows, n);
 }
 
 /// memcmp(a, b, n) == 0, vectorized at the active level.

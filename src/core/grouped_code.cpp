@@ -1,12 +1,12 @@
 #include "core/grouped_code.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "codes/crc.h"
 #include "codes/fletcher.h"
 #include "codes/hamming.h"
 #include "codes/row_fold.h"
+#include "core/row_pass.h"
 
 namespace radar::core {
 
@@ -16,11 +16,8 @@ const std::uint8_t* as_bytes(const std::int8_t* p) {
   return reinterpret_cast<const std::uint8_t*>(p);
 }
 
-/// Rows an interleaved pass hands to one BlockCode::fold call, and groups
-/// per tile: a pass stages kRowsPerFold x kTileGroups bytes (4 KiB), so
-/// the tile and its states stay in L1.
-constexpr std::int64_t kRowsPerFold = codes::kFusedRows;
-constexpr std::int64_t kTileGroups = 512;
+/// A row pass is one fused step of every code's row fold.
+static_assert(kPassRows == codes::kFusedRows);
 
 /// Padding slots of a block of `block_size` bytes of a `group_size` group.
 std::int64_t padding(std::int64_t group_size, std::size_t block_size) {
@@ -91,7 +88,7 @@ class HammingBlockCode : public BlockCode {
   void fold(std::span<std::uint32_t> state,
             std::span<const std::uint8_t* const> rows,
             std::int64_t first_slot) const override {
-    codes::HammingSecDed::ByteTerms terms[kRowsPerFold] = {};
+    codes::HammingSecDed::ByteTerms terms[kPassRows] = {};
     RADAR_REQUIRE(rows.size() <= std::size(terms), "too many rows per fold");
     for (std::size_t j = 0; j < rows.size(); ++j)
       terms[j] = code_.byte_terms(first_slot + static_cast<std::int64_t>(j));
@@ -104,22 +101,6 @@ class HammingBlockCode : public BlockCode {
  private:
   codes::HammingSecDed code_;
 };
-
-/// Copies columns [c, c + n) (mod ng) of one interleaved row into `dst`,
-/// at most two contiguous pieces; columns at or past the row's real
-/// length `len` (padding) become zero.
-void stage_row(std::uint8_t* dst, const std::uint8_t* row, std::int64_t len,
-               std::int64_t ng, std::int64_t c, std::int64_t n) {
-  while (n > 0) {
-    const std::int64_t piece = std::min(n, ng - c);
-    const std::int64_t real = std::clamp(len - c, std::int64_t{0}, piece);
-    if (real > 0) std::memcpy(dst, row + c, static_cast<std::size_t>(real));
-    std::memset(dst + real, 0, static_cast<std::size_t>(piece - real));
-    dst += piece;
-    n -= piece;
-    c = 0;
-  }
-}
 
 /// Gather `group` of a layer's codes `q` into `block` (group_size bytes);
 /// padding slots become zero.
@@ -209,43 +190,18 @@ void GroupedCodeScheme::for_each_word(const quant::QuantizedModel& qm,
     }
     return;
   }
-  // Interleaved: row r holds slot r of every group, group grp at column
-  // (grp - skew*r) mod ng, so the window's columns in row r are one
-  // rotated run (at most two contiguous pieces) whose start steps back by
-  // skew mod ng per row. Each tile of up to kTileGroups groups folds the
-  // rows kRowsPerFold at a time: the rows' window pieces are staged side
-  // by side, so the code reads every row of the pass at the same offset.
   const std::int64_t m = group_end - group_begin;
-  const std::int64_t tile = std::min(m, kTileGroups);
   scratch.state.assign(static_cast<std::size_t>(m), 0u);
-  scratch.block.resize(static_cast<std::size_t>(kRowsPerFold * tile));
-  std::uint8_t* staged = reinterpret_cast<std::uint8_t*>(scratch.block.data());
-  const std::uint8_t* bytes = as_bytes(q.data());
-  const std::int64_t step = layout.skew() % ng;
-  const std::uint8_t* rows[kRowsPerFold] = {};
-  for (std::int64_t k0 = 0; k0 < m; k0 += tile) {
-    const std::int64_t n = std::min(tile, m - k0);
-    const std::span<std::uint32_t> state(
-        scratch.state.data() + k0, static_cast<std::size_t>(n));
-    std::int64_t c = group_begin + k0;  // the tile's first column, row 0
-    for (std::int64_t r0 = 0; r0 < g; r0 += kRowsPerFold) {
-      const std::int64_t nrows = std::min(kRowsPerFold, g - r0);
-      for (std::int64_t j = 0; j < nrows; ++j) {
-        const std::int64_t base = (r0 + j) * ng;
-        const std::int64_t len = std::clamp(w - base, std::int64_t{0}, ng);
-        if (c + n <= len) {
-          rows[j] = bytes + base + c;  // one real piece: read in place
-        } else {
-          std::uint8_t* dst = staged + j * n;
-          stage_row(dst, len > 0 ? bytes + base : nullptr, len, ng, c, n);
-          rows[j] = dst;
-        }
-        c -= step;
-        if (c < 0) c += ng;
-      }
-      code_->fold(state, {rows, static_cast<std::size_t>(nrows)}, r0);
-    }
-  }
+  for_each_row_pass(
+      layout, std::array{q.data()}, group_begin, group_end, scratch.block,
+      [&](std::int64_t k0, std::int64_t n, const RowPass<1>& pass) {
+        const std::uint8_t* rows[kPassRows];
+        for (std::int64_t j = 0; j < pass.nrows; ++j)
+          rows[j] = as_bytes(pass.rows[0][static_cast<std::size_t>(j)]);
+        code_->fold({scratch.state.data() + k0, static_cast<std::size_t>(n)},
+                    {rows, static_cast<std::size_t>(pass.nrows)},
+                    pass.first_slot);
+      });
   code_->finish(scratch.state);
   for (std::int64_t k = 0; k < m; ++k)
     fn(group_begin + k, scratch.state[static_cast<std::size_t>(k)]);

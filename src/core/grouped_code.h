@@ -12,20 +12,19 @@
 // instance.
 //
 // Range scans (a full scan is the range of every group) and re-sign
-// passes never gather a group. Under the skewed interleaver row r of a
-// layer (bytes [r*Ng, (r+1)*Ng)) holds slot r of every group, rotated by
-// (skew*r) mod Ng — the row structure LayerScanner uses — so those
-// passes stream the layer once: each row's window of groups (at most two
-// contiguous pieces) is read in place, or staged into ScanScratch when it
-// wraps or reaches padding, and folded eight rows at a time into one
-// 32-bit state per group, also kept in ScanScratch: a CRC register (one
-// slicing-by-8 step per eight rows), a Hamming syndrome + parity, or the
-// two Fletcher sums. No code keeps a table that grows with group_size. A
-// contiguous group is a run of bytes and is coded in place; compute()
-// reads a short tail group's missing slots as padding. Dirty rescans of a
-// few groups (scan_layer_groups) gather each group and call
-// BlockCode::compute — the dense/sparse split RadarScheme has between
-// masked_sums_range_into and group_signature_at.
+// passes never gather a group. A code word is a left fold of one 32-bit
+// state per group over the group's slots, so an interleaved layer is
+// folded by the shared row loop (core/row_pass.h), the same one
+// radar's masked sums run on: eight rows per pass go to BlockCode::fold,
+// each row's window of groups read in place or staged into ScanScratch
+// when it wraps or reaches padding, and the states, also kept in
+// ScanScratch, are a CRC register (one slicing-by-8 step per pass), a
+// Hamming syndrome + parity, or the two Fletcher sums. No code keeps a
+// table that grows with group_size. A contiguous group is a run of bytes
+// and is coded in place; compute() reads a short tail group's missing
+// slots as padding. Dirty rescans of a few groups (scan_layer_groups)
+// gather each group through GroupLayout::for_each_member and call
+// BlockCode::compute, as radar's rescans walk the same members.
 #pragma once
 
 #include <cstdint>

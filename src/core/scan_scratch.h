@@ -3,7 +3,8 @@
 // Every zero-allocation scan entry point
 // (LayerScanner::masked_sums_range_into,
 // IntegrityScheme::scan_layer_range_into / scan_layer_groups) borrows its
-// buffers from one of these instead of heap-allocating per call. The
+// buffers, the row loop's staged rows and each scheme's per-group fold
+// state, from one of these instead of heap-allocating per call. The
 // buffers grow to the high-water mark of the layers they serve and are
 // then reused, so a steady-state scan loop performs zero allocations.
 // A scratch object is not thread-safe; use one per worker (ScanScheduler
@@ -16,10 +17,10 @@
 namespace radar::core {
 
 struct ScanScratch {
-  std::vector<std::int8_t> block;    ///< grouped codes: gather / staged rows
-  std::vector<std::uint32_t> state;  ///< grouped codes: per-group fold state
-  std::vector<std::int32_t> acc;     ///< per-group 32-bit accumulators
-  std::vector<std::int64_t> sums;    ///< per-group masked sums
+  std::vector<std::int8_t> block;    ///< staged rows / a gathered group
+  std::vector<std::uint32_t> state;  ///< block codes: per-group fold state
+  std::vector<std::int32_t> acc;     ///< radar: per-group int32 sums
+  std::vector<std::int64_t> sums;    ///< radar: per-group masked sums
 };
 
 }  // namespace radar::core

@@ -33,25 +33,15 @@ RadarScheme::RadarScheme(const RadarConfig& cfg)
 
 void RadarScheme::attach(const quant::QuantizedModel& qm, bool sign) {
   attach_layouts(qm);
-  masks_.clear();
   scanners_.clear();
   golden_.clear();
   for (std::size_t li = 0; li < qm.num_layers(); ++li) {
-    masks_.emplace_back(MaskStream::derive_layer_key(params_.master_key, li),
-                        params_.expansion);
-    scanners_.emplace_back(layouts_[li], masks_.back(), sig_bits_);
+    const MaskStream mask(MaskStream::derive_layer_key(params_.master_key, li),
+                          params_.expansion);
+    scanners_.emplace_back(layouts_[li], mask, sig_bits_);
     golden_.emplace_back(layouts_[li].num_groups(), sig_bits_);
   }
   if (sign) resign(qm);
-}
-
-Signature RadarScheme::compute_signature(const quant::QuantizedModel& qm,
-                                         std::size_t layer,
-                                         std::int64_t group) const {
-  const auto& ql = qm.layer(layer);
-  return group_signature(
-      std::span<const std::int8_t>(ql.q.data(), ql.q.size()),
-      layouts_[layer], group, masks_[layer], sig_bits_);
 }
 
 void RadarScheme::resign_layer(const quant::QuantizedModel& qm,
@@ -59,11 +49,9 @@ void RadarScheme::resign_layer(const quant::QuantizedModel& qm,
   RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
                 "scheme not attached to this model");
   RADAR_REQUIRE(layer < layouts_.size(), "layer out of range");
-  const auto& ql = qm.layer(layer);
   const std::int64_t ng = layouts_[layer].num_groups();
   ScanScratch scratch;
-  scanners_[layer].masked_sums_range_into(
-      std::span<const std::int8_t>(ql.q.data(), ql.q.size()), 0, ng, scratch);
+  scanners_[layer].masked_sums_range_into(qm.layer(layer).q, 0, ng, scratch);
   for (std::int64_t g = 0; g < ng; ++g)
     golden_[layer].set(
         g, binarize(scratch.sums[static_cast<std::size_t>(g)], sig_bits_));
@@ -97,10 +85,8 @@ void RadarScheme::scan_layer_range_into(const quant::QuantizedModel& qm,
                     group_begin <= group_end &&
                     group_end <= layouts_[layer].num_groups(),
                 "group range out of bounds");
-  const auto& ql = qm.layer(layer);
-  scanners_[layer].masked_sums_range_into(
-      std::span<const std::int8_t>(ql.q.data(), ql.q.size()), group_begin,
-      group_end, scratch);
+  scanners_[layer].masked_sums_range_into(qm.layer(layer).q, group_begin,
+                                          group_end, scratch);
   flagged.clear();
   for (std::int64_t g = group_begin; g < group_end; ++g) {
     if (!(binarize(scratch.sums[static_cast<std::size_t>(g - group_begin)],

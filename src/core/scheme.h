@@ -59,11 +59,7 @@ class RadarScheme : public IntegrityScheme {
   void import_golden(std::vector<std::vector<std::uint8_t>> packed) override;
 
  private:
-  Signature compute_signature(const quant::QuantizedModel& qm,
-                              std::size_t layer, std::int64_t group) const;
-
   int sig_bits_;  ///< grouping/key fields live in IntegrityScheme::params_
-  std::vector<MaskStream> masks_;
   std::vector<LayerScanner> scanners_;  ///< streaming scan tables
   std::vector<SignatureStore> golden_;
 };

@@ -1,9 +1,9 @@
 // Dispatch-level plumbing and differential checks for the shared SIMD
-// primitives (dot_i8 / axpy_i8 / bytes_equal): every level the machine
-// supports must be bit-identical to the scalar reference on adversarial
-// lengths (sub-vector, exactly-vector, vector+tail) and extreme values
-// (+-127, the int16-product corners), including the positions around the
-// int64 drain boundary of the widened accumulators.
+// primitives (dot_i8 / masked_add_rows / bytes_equal): every level the
+// machine supports must be bit-identical to the scalar reference on
+// adversarial lengths (sub-vector, exactly-vector, vector+tail) and
+// extreme values (+-127, the int16-product corners), including the
+// positions around the int64 drain boundary of the widened accumulators.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -89,30 +89,64 @@ TEST(SimdOps, DotMatchesScalarAcrossLevelsLengthsAndExtremes) {
   }
 }
 
-TEST(SimdOps, AxpyMatchesScalarAcrossLevels) {
+// masked_add_rows against scalar at every level: every row count 1..8,
+// lengths around each vector width and its tail, signs from {-1, 0, +1},
+// and the int16 lane extremes: every row -128 under sign -1 (+1024 in a
+// lane after eight rows), 127 under +1, and the negative corners -128
+// under +1 (-1024) and 127 under -1.
+TEST(SimdOps, MaskedAddRowsMatchesScalarAcrossLevels) {
   Rng rng(0xA4B1);
-  for (const std::int64_t n : {1, 15, 16, 17, 31, 32, 33, 63, 64, 65,
-                               1000, 4099}) {
-    std::vector<std::int8_t> w(static_cast<std::size_t>(n));
-    std::vector<std::int8_t> s(static_cast<std::size_t>(n));
-    std::vector<std::int32_t> init(static_cast<std::size_t>(n));
-    for (auto& v : w)
-      v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-    for (auto& v : s)
-      v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  constexpr int kRows = simd::kMaskedAddMaxRows;
+  for (const std::int64_t n :
+       {0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 4099}) {
+    const auto len = static_cast<std::size_t>(n);
+    std::vector<std::int32_t> init(len);
     for (auto& v : init)
       v = static_cast<std::int32_t>(rng.uniform_int(-1000000, 1000000));
-    std::vector<std::int32_t> want = init;
-    {
-      cpu::ScopedSimdLevel guard(cpu::SimdLevel::kScalar);
-      simd::axpy_i8(want.data(), w.data(), s.data(), n);
-    }
-    for (const cpu::SimdLevel lvl : supported_levels()) {
-      cpu::ScopedSimdLevel guard(lvl);
-      std::vector<std::int32_t> got = init;
-      simd::axpy_i8(got.data(), w.data(), s.data(), n);
-      EXPECT_EQ(got, want) << "n=" << n
-                           << " level=" << cpu::level_name(lvl);
+    // Pattern 0 is random; the others fill every row with one (w, s).
+    const std::int8_t fills[][2] = {
+        {0, 0}, {-128, -1}, {127, 1}, {-128, 1}, {127, -1}};
+    for (int pattern = 0; pattern < 5; ++pattern) {
+      std::vector<std::vector<std::int8_t>> w(kRows,
+                                              std::vector<std::int8_t>(len));
+      std::vector<std::vector<std::int8_t>> s(kRows,
+                                              std::vector<std::int8_t>(len));
+      for (int j = 0; j < kRows; ++j) {
+        for (std::size_t k = 0; k < len; ++k) {
+          if (pattern == 0) {
+            w[j][k] = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+            s[j][k] = static_cast<std::int8_t>(rng.uniform_int(-1, 1));
+          } else {
+            w[j][k] = fills[pattern][0];
+            s[j][k] = fills[pattern][1];
+          }
+        }
+      }
+      const std::int8_t* wp[kRows];
+      const std::int8_t* sp[kRows];
+      for (int j = 0; j < kRows; ++j) {
+        wp[j] = w[j].data();
+        sp[j] = s[j].data();
+      }
+      for (int nrows = 1; nrows <= kRows; ++nrows) {
+        std::vector<std::int32_t> want = init;
+        {
+          cpu::ScopedSimdLevel guard(cpu::SimdLevel::kScalar);
+          simd::masked_add_rows(want.data(), wp, sp, nrows, n);
+        }
+        if (pattern > 0 && n > 0) {
+          ASSERT_EQ(want[0] - init[0],
+                    nrows * fills[pattern][0] * fills[pattern][1]);
+        }
+        for (const cpu::SimdLevel lvl : supported_levels()) {
+          cpu::ScopedSimdLevel guard(lvl);
+          std::vector<std::int32_t> got = init;
+          simd::masked_add_rows(got.data(), wp, sp, nrows, n);
+          EXPECT_EQ(got, want) << "n=" << n << " nrows=" << nrows
+                               << " pattern=" << pattern
+                               << " level=" << cpu::level_name(lvl);
+        }
+      }
     }
   }
 }

@@ -101,8 +101,8 @@ TEST(ScanKernel, MatchesScalarReferenceOnRandomLayouts) {
 
 TEST(ScanKernel, EveryDispatchLevelMatchesScalarReference) {
   // The same battery under each level this machine supports: the
-  // dispatched dot/axpy variants must reproduce the scalar ground truth
-  // bit for bit on every random layout.
+  // dispatched dot/masked_add_rows variants must reproduce the scalar
+  // ground truth bit for bit on every random layout.
   for (int l = 0; l < cpu::kNumSimdLevels; ++l) {
     const auto lvl = static_cast<cpu::SimdLevel>(l);
     if (!cpu::level_supported(lvl)) continue;

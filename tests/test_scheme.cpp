@@ -260,9 +260,10 @@ TEST(LayerScanner, MaskedSumsMatchReference) {
   const GroupLayout layout = GroupLayout::interleaved(257, 16, 3);
   const MaskStream mask(0x1357);
   const LayerScanner scanner(layout, mask, 2);
-  const auto sums = scanner.masked_sums(w);
+  ScanScratch scratch;
+  scanner.masked_sums_range_into(w, 0, layout.num_groups(), scratch);
   for (std::int64_t g = 0; g < layout.num_groups(); ++g)
-    EXPECT_EQ(sums[static_cast<std::size_t>(g)],
+    EXPECT_EQ(scratch.sums[static_cast<std::size_t>(g)],
               masked_group_sum(w, layout, g, mask));
 }
 

@@ -311,10 +311,50 @@ INSTANTIATE_TEST_SUITE_P(
 // skew larger than Ng, all-padding rows (W=27, G=8 or 12), and more rows
 // than one fold pass takes (G=12, 16). Every range window [b, e) is
 // scanned, so windows that wrap past column Ng-1 are all covered.
+//
+// Both scheme families run their dense scans on the one interleaved row
+// loop, so radar2 and radar3 take the same geometries, checked against
+// group_signature (masked_group_sum + binarize) over GroupLayout::member.
 class GroupedScanEdgeGeometry
     : public ::testing::TestWithParam<
           std::tuple<std::string, std::tuple<std::int64_t, std::int64_t>,
                      bool>> {};
+
+/// Reference check words of every group of one layer: block-code words as
+/// codes_reference_words computes them, radar signatures (their bits) from
+/// group_signature under the layer's mask.
+std::vector<std::uint32_t> edge_reference_words(
+    const IntegrityScheme& scheme, const quant::QuantizedModel& qm,
+    std::size_t layer) {
+  if (const auto* codes = dynamic_cast<const GroupedCodeScheme*>(&scheme))
+    return codes_reference_words(*codes, qm, layer);
+  const auto& radar = dynamic_cast<const RadarScheme&>(scheme);
+  const GroupLayout& layout = radar.layout(layer);
+  const MaskStream mask(
+      MaskStream::derive_layer_key(radar.params().master_key, layer),
+      radar.params().expansion);
+  std::vector<std::uint32_t> words;
+  for (std::int64_t g = 0; g < layout.num_groups(); ++g)
+    words.push_back(group_signature(qm.layer(layer).q, layout, g, mask,
+                                    radar.signature_bits())
+                        .bits);
+  return words;
+}
+
+/// The golden words the scheme stores, decoded from export_golden().
+std::vector<std::uint32_t> edge_exported_words(const IntegrityScheme& scheme,
+                                               std::size_t layer) {
+  if (const auto* codes = dynamic_cast<const GroupedCodeScheme*>(&scheme))
+    return exported_words(*codes, layer);
+  const auto& radar = dynamic_cast<const RadarScheme&>(scheme);
+  SignatureStore store(radar.layout(layer).num_groups(),
+                       radar.signature_bits());
+  store.set_packed(radar.export_golden()[layer]);
+  std::vector<std::uint32_t> words;
+  for (std::int64_t g = 0; g < store.num_groups(); ++g)
+    words.push_back(store.get(g).bits);
+  return words;
+}
 
 TEST_P(GroupedScanEdgeGeometry, EveryScanPathMatchesTheReferences) {
   const auto& [id, geometry, interleave] = GetParam();
@@ -334,15 +374,14 @@ TEST_P(GroupedScanEdgeGeometry, EveryScanPathMatchesTheReferences) {
   params.group_size = group_size;
   params.interleave = interleave;
   params.skew = skew;
-  auto owned = SchemeRegistry::instance().create(id, params);
-  auto* scheme = dynamic_cast<GroupedCodeScheme*>(owned.get());
-  ASSERT_NE(scheme, nullptr);
+  auto scheme = SchemeRegistry::instance().create(id, params);
   scheme->attach(qm);
 
   std::vector<std::vector<std::uint32_t>> golden;
   for (std::size_t li = 0; li < qm.num_layers(); ++li) {
-    golden.push_back(codes_reference_words(*scheme, qm, li));
-    EXPECT_EQ(exported_words(*scheme, li), golden.back()) << "layer " << li;
+    golden.push_back(edge_reference_words(*scheme, qm, li));
+    EXPECT_EQ(edge_exported_words(*scheme, li), golden.back())
+        << "layer " << li;
   }
   ScanScratch scratch;
   std::vector<std::int64_t> flagged;
@@ -355,7 +394,7 @@ TEST_P(GroupedScanEdgeGeometry, EveryScanPathMatchesTheReferences) {
                   static_cast<int>(rng.uniform_int(0, 7)));
     }
     for (std::size_t li = 0; li < qm.num_layers(); ++li) {
-      const auto words = codes_reference_words(*scheme, qm, li);
+      const auto words = edge_reference_words(*scheme, qm, li);
       const auto ng = static_cast<std::int64_t>(words.size());
       std::vector<std::int64_t> expected;
       for (std::int64_t g = 0; g < ng; ++g)
@@ -383,31 +422,43 @@ TEST_P(GroupedScanEdgeGeometry, EveryScanPathMatchesTheReferences) {
   }
 }
 
+/// (group size, skew) pairs of the edge-geometry suites.
+const auto kEdgeGeometries =
+    ::testing::Values(std::tuple<std::int64_t, std::int64_t>{1, 3},
+                      std::tuple<std::int64_t, std::int64_t>{2, 3},
+                      std::tuple<std::int64_t, std::int64_t>{4, 3},
+                      std::tuple<std::int64_t, std::int64_t>{4, 0},
+                      std::tuple<std::int64_t, std::int64_t>{5, 7},
+                      std::tuple<std::int64_t, std::int64_t>{8, 3},
+                      std::tuple<std::int64_t, std::int64_t>{12, 3},
+                      std::tuple<std::int64_t, std::int64_t>{16, 1},
+                      std::tuple<std::int64_t, std::int64_t>{64, 3});
+
+std::string edge_geometry_name(
+    const ::testing::TestParamInfo<GroupedScanEdgeGeometry::ParamType>&
+        info) {
+  const auto& geometry = std::get<1>(info.param);
+  std::string name = std::get<0>(info.param) + "_G" +
+                     std::to_string(std::get<0>(geometry)) + "_t" +
+                     std::to_string(std::get<1>(geometry)) +
+                     (std::get<2>(info.param) ? "_interleaved"
+                                              : "_contiguous");
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BlockCodes, GroupedScanEdgeGeometry,
-    ::testing::Combine(
-        ::testing::Values("crc7", "crc13", "crc16", "fletcher",
-                          "hamming-secded"),
-        ::testing::Values(std::tuple<std::int64_t, std::int64_t>{1, 3},
-                          std::tuple<std::int64_t, std::int64_t>{2, 3},
-                          std::tuple<std::int64_t, std::int64_t>{4, 3},
-                          std::tuple<std::int64_t, std::int64_t>{4, 0},
-                          std::tuple<std::int64_t, std::int64_t>{5, 7},
-                          std::tuple<std::int64_t, std::int64_t>{8, 3},
-                          std::tuple<std::int64_t, std::int64_t>{12, 3},
-                          std::tuple<std::int64_t, std::int64_t>{16, 1},
-                          std::tuple<std::int64_t, std::int64_t>{64, 3}),
-        ::testing::Bool()),
-    [](const auto& info) {
-      const auto& geometry = std::get<1>(info.param);
-      std::string name = std::get<0>(info.param) + "_G" +
-                         std::to_string(std::get<0>(geometry)) + "_t" +
-                         std::to_string(std::get<1>(geometry)) +
-                         (std::get<2>(info.param) ? "_interleaved"
-                                                  : "_contiguous");
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
+    ::testing::Combine(::testing::Values("crc7", "crc13", "crc16",
+                                         "fletcher", "hamming-secded"),
+                       kEdgeGeometries, ::testing::Bool()),
+    edge_geometry_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    Radar, GroupedScanEdgeGeometry,
+    ::testing::Combine(::testing::Values("radar2", "radar3"),
+                       kEdgeGeometries, ::testing::Bool()),
+    edge_geometry_name);
 
 // No block code may size a table by group_size: at the largest group the
 // package loader accepts, every layer of `tiny` is one mostly-padding
