@@ -14,7 +14,7 @@
 //                  rows with signs in {-1, 0, +1}: one row pass of the
 //                  interleaved masked-sum scan, summed in int16 lanes.
 //   * bytes_equal — whole-buffer equality: snapshot compare / restore's
-//                  changed-layer probe.
+//                  changed-layer and changed-block probes.
 //
 // Every variant accumulates in exact integer arithmetic, so all levels
 // return bit-identical results; callers guarantee the same no-overflow

@@ -165,12 +165,11 @@ void GroupedCodeScheme::require_attached_to(
                 "scheme not attached to this model");
 }
 
-template <class Fn>
-void GroupedCodeScheme::for_each_word(const quant::QuantizedModel& qm,
-                                      std::size_t layer,
-                                      std::int64_t group_begin,
-                                      std::int64_t group_end,
-                                      ScanScratch& scratch, Fn&& fn) const {
+void GroupedCodeScheme::words_into(const quant::QuantizedModel& qm,
+                                   std::size_t layer,
+                                   std::int64_t group_begin,
+                                   std::int64_t group_end,
+                                   ScanScratch& scratch) const {
   const GroupLayout& layout = layouts_[layer];
   const std::span<const std::int8_t> q = qm.layer(layer).q;
   const std::int64_t g = layout.group_size();
@@ -178,19 +177,21 @@ void GroupedCodeScheme::for_each_word(const quant::QuantizedModel& qm,
   const std::int64_t w = layout.num_weights();
   RADAR_REQUIRE(static_cast<std::int64_t>(q.size()) == w,
                 "weight buffer size does not match layout");
+  const std::int64_t m = group_end - group_begin;
   if (!layout.is_interleaved() || ng == 1) {
     // Contiguous groups (a one-group interleaved layout is the same
     // layout) are runs of bytes, coded in place; the tail group's missing
     // slots are the padding compute() supplies.
-    for (std::int64_t grp = group_begin; grp < group_end; ++grp) {
-      const std::int64_t base = grp * g;
-      fn(grp, code_->compute(q.subspan(static_cast<std::size_t>(base),
-                                       static_cast<std::size_t>(
-                                           std::min(g, w - base)))));
+    scratch.state.resize(static_cast<std::size_t>(m));
+    for (std::int64_t k = 0; k < m; ++k) {
+      const std::int64_t base = (group_begin + k) * g;
+      scratch.state[static_cast<std::size_t>(k)] =
+          code_->compute(q.subspan(static_cast<std::size_t>(base),
+                                   static_cast<std::size_t>(
+                                       std::min(g, w - base))));
     }
     return;
   }
-  const std::int64_t m = group_end - group_begin;
   scratch.state.assign(static_cast<std::size_t>(m), 0u);
   for_each_row_pass(
       layout, std::array{q.data()}, group_begin, group_end, scratch.block,
@@ -203,8 +204,6 @@ void GroupedCodeScheme::for_each_word(const quant::QuantizedModel& qm,
                     pass.first_slot);
       });
   code_->finish(scratch.state);
-  for (std::int64_t k = 0; k < m; ++k)
-    fn(group_begin + k, scratch.state[static_cast<std::size_t>(k)]);
 }
 
 void GroupedCodeScheme::scan_layer_groups(const quant::QuantizedModel& qm,
@@ -233,12 +232,9 @@ void GroupedCodeScheme::scan_layer_range_into(
                     group_begin <= group_end &&
                     group_end <= layouts_[layer].num_groups(),
                 "group range out of bounds");
-  const PackedWordStore& golden = golden_[layer];
+  words_into(qm, layer, group_begin, group_end, scratch);
   flagged.clear();
-  for_each_word(qm, layer, group_begin, group_end, scratch,
-                [&](std::int64_t grp, std::uint32_t word) {
-                  if (word != golden.get(grp)) flagged.push_back(grp);
-                });
+  golden_[layer].append_mismatches(group_begin, scratch.state, flagged);
 }
 
 void GroupedCodeScheme::resign_layer(const quant::QuantizedModel& qm,
@@ -247,11 +243,9 @@ void GroupedCodeScheme::resign_layer(const quant::QuantizedModel& qm,
                 "scheme not attached to this model");
   RADAR_REQUIRE(layer < layouts_.size(), "layer out of range");
   ScanScratch scratch;
-  PackedWordStore& golden = golden_[layer];
-  for_each_word(qm, layer, 0, layouts_[layer].num_groups(), scratch,
-                [&](std::int64_t grp, std::uint32_t word) {
-                  golden.set(grp, word);
-                });
+  words_into(qm, layer, 0, layouts_[layer].num_groups(), scratch);
+  for (std::size_t grp = 0; grp < scratch.state.size(); ++grp)
+    golden_[layer].set(static_cast<std::int64_t>(grp), scratch.state[grp]);
 }
 
 std::int64_t GroupedCodeScheme::signature_storage_bytes() const {

@@ -22,9 +22,12 @@
 // Hamming syndrome + parity, or the two Fletcher sums. No code keeps a
 // table that grows with group_size. A contiguous group is a run of bytes
 // and is coded in place; compute() reads a short tail group's missing
-// slots as padding. Dirty rescans of a few groups (scan_layer_groups)
-// gather each group through GroupLayout::for_each_member and call
-// BlockCode::compute, as radar's rescans walk the same members.
+// slots as padding. Either way the range's words end up in
+// ScanScratch::state, and a range scan is one bulk golden compare of that
+// buffer (PackedWordStore::append_mismatches). Dirty rescans of a few
+// groups (scan_layer_groups) gather each group through
+// GroupLayout::for_each_member and call BlockCode::compute, as radar's
+// rescans walk the same members.
 #pragma once
 
 #include <cstdint>
@@ -98,12 +101,11 @@ class GroupedCodeScheme : public IntegrityScheme {
  private:
   void require_attached_to(const quant::QuantizedModel& qm) const;
   /// Computes the check words of groups [group_begin, group_end) of one
-  /// layer in a single streaming pass and calls fn(group, word) for each,
-  /// in ascending group order.
-  template <class Fn>
-  void for_each_word(const quant::QuantizedModel& qm, std::size_t layer,
-                     std::int64_t group_begin, std::int64_t group_end,
-                     ScanScratch& scratch, Fn&& fn) const;
+  /// layer in a single streaming pass into scratch.state[0 .. end - begin),
+  /// the buffer the bulk golden compare and re-signing read.
+  void words_into(const quant::QuantizedModel& qm, std::size_t layer,
+                  std::int64_t group_begin, std::int64_t group_end,
+                  ScanScratch& scratch) const;
 
   BlockCodeFactory make_code_;
   std::unique_ptr<BlockCode> code_;  ///< built on attach

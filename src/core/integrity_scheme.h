@@ -12,7 +12,11 @@
 // range scan, the sparse dirty-group scan, per-layer re-signing, storage
 // accounting and golden export / import. Every dense scan — one layer,
 // the serial whole model, a ScanScheduler chunk — is a call of the range
-// scan, so whole-layer scans and chunked sweeps run the same code.
+// scan, so whole-layer scans and chunked sweeps run the same code. Each
+// scheme's range scan computes the range's code words into
+// ScanScratch::state and ends in one bulk golden compare
+// (PackedWordStore::append_mismatches), which yields the flagged ids in
+// ascending order.
 // Concrete schemes are created by name through SchemeRegistry;
 // whole-model scans in the run-time path go through ScanScheduler.
 #pragma once

@@ -26,42 +26,58 @@ LayerScanner::LayerScanner(const GroupLayout& layout, const MaskStream& mask,
   }
 }
 
-void LayerScanner::masked_sums_range_into(
-    std::span<const std::int8_t> weights, std::int64_t group_begin,
-    std::int64_t group_end, ScanScratch& scratch) const {
+namespace {
+
+/// Signature words of masked sums: bits 8 .. 9 - sig_bits of each sum
+/// (SA, SB, then SC), the bit layout binarize() builds.
+template <class Sum>
+void signature_words(const std::vector<Sum>& sums, int sig_bits,
+                     std::vector<std::uint32_t>& words) {
+  const int shift = 9 - sig_bits;
+  const auto mask = static_cast<Sum>((1 << sig_bits) - 1);
+  words.resize(sums.size());
+  std::transform(sums.begin(), sums.end(), words.begin(),
+                 [shift, mask](Sum m) {
+                   return static_cast<std::uint32_t>((m >> shift) & mask);
+                 });
+}
+
+}  // namespace
+
+void LayerScanner::require_range(std::span<const std::int8_t> weights,
+                                 std::int64_t group_begin,
+                                 std::int64_t group_end) const {
   RADAR_REQUIRE(static_cast<std::int64_t>(weights.size()) == num_weights(),
                 "weight buffer size does not match scanner");
   RADAR_REQUIRE(group_begin >= 0 && group_begin <= group_end &&
                     group_end <= num_groups(),
                 "group range out of bounds");
+}
+
+void LayerScanner::int32_sums_range_into(std::span<const std::int8_t> weights,
+                                         std::int64_t group_begin,
+                                         std::int64_t group_end,
+                                         ScanScratch& scratch) const {
+  require_range(weights, group_begin, group_end);
   const std::int64_t g = layout_.group_size();
   const std::int64_t m = group_end - group_begin;
-  scratch.sums.resize(static_cast<std::size_t>(m));
+  scratch.acc.assign(static_cast<std::size_t>(m), 0);
   if (m == 0) return;
-  if (g > kInt32SafeGroupSize) {
-    // Pathological group sizes could overflow the int32 accumulators;
-    // take the exact int64 per-group path instead.
-    for (std::int64_t grp = group_begin; grp < group_end; ++grp)
-      scratch.sums[static_cast<std::size_t>(grp - group_begin)] =
-          group_sum(weights, grp);
-    return;
-  }
   const std::int8_t* w = weights.data();
   const std::int8_t* s = sign_rm_.data();
+  std::int32_t* acc = scratch.acc.data();
   if (!layout_.is_interleaved() || num_groups() == 1) {
     // Contiguous groups (a one-group interleaved layout is the same
     // layout, with the same signs) are straight dot products.
-    for (std::int64_t grp = group_begin; grp < group_end; ++grp) {
-      const std::int64_t base = grp * g;
-      scratch.sums[static_cast<std::size_t>(grp - group_begin)] =
+    for (std::int64_t k = 0; k < m; ++k) {
+      const std::int64_t base = (group_begin + k) * g;
+      acc[k] =
           simd::dot_i8(w + base, s + base, std::min(g, num_weights() - base));
     }
     return;
   }
   // Interleaved: fold the range's window of every row, eight rows per
   // pass, into one int32 accumulator per group.
-  scratch.acc.assign(static_cast<std::size_t>(m), 0);
-  std::int32_t* acc = scratch.acc.data();
   for_each_row_pass(
       layout_, std::array{w, s}, group_begin, group_end, scratch.block,
       [acc](std::int64_t k0, std::int64_t n, const RowPass<2>& pass) {
@@ -69,7 +85,35 @@ void LayerScanner::masked_sums_range_into(
                               pass.rows[1].data(),
                               static_cast<int>(pass.nrows), n);
       });
-  std::copy(acc, acc + m, scratch.sums.begin());
+}
+
+void LayerScanner::masked_sums_range_into(
+    std::span<const std::int8_t> weights, std::int64_t group_begin,
+    std::int64_t group_end, ScanScratch& scratch) const {
+  if (layout_.group_size() <= kInt32SafeGroupSize) {
+    int32_sums_range_into(weights, group_begin, group_end, scratch);
+    scratch.sums.assign(scratch.acc.begin(), scratch.acc.end());
+    return;
+  }
+  // Pathological group sizes could overflow the int32 accumulators; take
+  // the exact int64 per-group path instead.
+  require_range(weights, group_begin, group_end);
+  scratch.sums.resize(static_cast<std::size_t>(group_end - group_begin));
+  for (std::int64_t grp = group_begin; grp < group_end; ++grp)
+    scratch.sums[static_cast<std::size_t>(grp - group_begin)] =
+        group_sum(weights, grp);
+}
+
+void LayerScanner::signature_words_range_into(
+    std::span<const std::int8_t> weights, std::int64_t group_begin,
+    std::int64_t group_end, ScanScratch& scratch) const {
+  if (layout_.group_size() <= kInt32SafeGroupSize) {
+    int32_sums_range_into(weights, group_begin, group_end, scratch);
+    signature_words(scratch.acc, sig_bits_, scratch.state);
+  } else {
+    masked_sums_range_into(weights, group_begin, group_end, scratch);
+    signature_words(scratch.sums, sig_bits_, scratch.state);
+  }
 }
 
 std::int64_t LayerScanner::group_sum(std::span<const std::int8_t> weights,

@@ -4,19 +4,23 @@
 // call — fine for tools and tests, too slow for the run-time scan path.
 // LayerScanner derives the layer's mask signs once, the way the hardware
 // would hard-wire them, as one table indexed by weight: sign_rm_[i] is
-// the +1/-1 sign of original weight index i. The one dense kernel,
-// masked_sums_range_into (a whole-layer scan is its range over every
-// group), reduces a contiguous group, or a one-group layer's group, as a
-// straight int8 x int8 -> int32 dot product, and folds an interleaved
-// range by the shared row loop (core/row_pass.h), up to eight rows per
-// simd::masked_add_rows call into per-group int32 accumulators. The O(G)
-// narrow scan the incremental path is built from, group_sum, walks
-// GroupLayout::for_each_member. Nothing is gathered.
+// the +1/-1 sign of original weight index i. The one dense kernel, behind
+// masked_sums_range_into and signature_words_range_into (a whole-layer
+// scan is their range over every group), reduces a contiguous group, or a
+// one-group layer's group, as a straight int8 x int8 -> int32 dot
+// product, and folds an interleaved range by the shared row loop
+// (core/row_pass.h), up to eight rows per simd::masked_add_rows call into
+// per-group int32 accumulators. The O(G) narrow scan the incremental
+// path is built from, group_sum, walks GroupLayout::for_each_member.
+// Nothing is gathered.
 //
 // int32 accumulators are exact for any group size up to 2^22 (|w| <= 128),
-// with an int64 per-group path above that. The *_into entry point writes
-// into caller-provided ScanScratch, so the steady-state scan loop performs
-// zero allocations. All paths are bit-identical to the reference
+// with an int64 per-group path above that. signature_words_range_into
+// turns a range's sums into packed-format signature words in one
+// branch-free loop, so a dense scan ends in the golden store's bulk
+// compare instead of a binarize + get per group. The *_into entry points
+// write into caller-provided ScanScratch, so the steady-state scan loop
+// performs zero allocations. All paths are bit-identical to the reference
 // primitives (tested).
 #pragma once
 
@@ -53,6 +57,17 @@ class LayerScanner {
                               std::int64_t group_end,
                               ScanScratch& scratch) const;
 
+  /// Signature words of groups [group_begin, group_end), written to
+  /// scratch.state[0 .. group_end - group_begin): the range's masked sums
+  /// turned into Signature bits in one branch-free loop,
+  /// (m >> (9 - sig_bits)) & (2^sig_bits - 1), which is binarize's bit
+  /// layout by construction. The words feed the store's bulk golden
+  /// compare (SignatureStore::append_mismatches) and re-signing.
+  void signature_words_range_into(std::span<const std::int8_t> weights,
+                                  std::int64_t group_begin,
+                                  std::int64_t group_end,
+                                  ScanScratch& scratch) const;
+
   /// Masked sum of a single group — the narrow-scan primitive, O(G).
   std::int64_t group_sum(std::span<const std::int8_t> weights,
                          std::int64_t group) const;
@@ -65,6 +80,14 @@ class LayerScanner {
   std::vector<Signature> scan(std::span<const std::int8_t> weights) const;
 
  private:
+  void require_range(std::span<const std::int8_t> weights,
+                     std::int64_t group_begin, std::int64_t group_end) const;
+  /// The dense kernel for group sizes up to kInt32SafeGroupSize: the
+  /// range's masked sums as int32 in scratch.acc[0 .. end - begin).
+  void int32_sums_range_into(std::span<const std::int8_t> weights,
+                             std::int64_t group_begin, std::int64_t group_end,
+                             ScanScratch& scratch) const;
+
   GroupLayout layout_;
   int sig_bits_;
   std::vector<std::int8_t> sign_rm_;  ///< row-major +1/-1 per weight index

@@ -49,12 +49,13 @@ void RadarScheme::resign_layer(const quant::QuantizedModel& qm,
   RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
                 "scheme not attached to this model");
   RADAR_REQUIRE(layer < layouts_.size(), "layer out of range");
-  const std::int64_t ng = layouts_[layer].num_groups();
   ScanScratch scratch;
-  scanners_[layer].masked_sums_range_into(qm.layer(layer).q, 0, ng, scratch);
-  for (std::int64_t g = 0; g < ng; ++g)
+  scanners_[layer].signature_words_range_into(
+      qm.layer(layer).q, 0, layouts_[layer].num_groups(), scratch);
+  for (std::size_t g = 0; g < scratch.state.size(); ++g)
     golden_[layer].set(
-        g, binarize(scratch.sums[static_cast<std::size_t>(g)], sig_bits_));
+        static_cast<std::int64_t>(g),
+        Signature{static_cast<std::uint8_t>(scratch.state[g]), sig_bits_});
 }
 
 void RadarScheme::scan_layer_groups(const quant::QuantizedModel& qm,
@@ -85,14 +86,10 @@ void RadarScheme::scan_layer_range_into(const quant::QuantizedModel& qm,
                     group_begin <= group_end &&
                     group_end <= layouts_[layer].num_groups(),
                 "group range out of bounds");
-  scanners_[layer].masked_sums_range_into(qm.layer(layer).q, group_begin,
-                                          group_end, scratch);
+  scanners_[layer].signature_words_range_into(qm.layer(layer).q, group_begin,
+                                              group_end, scratch);
   flagged.clear();
-  for (std::int64_t g = group_begin; g < group_end; ++g) {
-    if (!(binarize(scratch.sums[static_cast<std::size_t>(g - group_begin)],
-                   sig_bits_) == golden_[layer].get(g)))
-      flagged.push_back(g);
-  }
+  golden_[layer].append_mismatches(group_begin, scratch.state, flagged);
 }
 
 std::int64_t RadarScheme::signature_storage_bytes() const {

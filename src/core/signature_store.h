@@ -8,9 +8,17 @@
 // baseline codes' check words (1..32 bits); SignatureStore holds RADAR's
 // 2/3-bit signatures on top of it. storage_bytes() is exactly the number
 // the paper's Fig. 6 x-axis reports (5.6 KB for ResNet-18 at G = 512).
+//
+// A dense scan ends in one bulk golden compare, append_mismatches: the
+// scheme computes the words of a contiguous run of groups into a buffer,
+// and the store checks the run's bounds once, then reads each stored word
+// with one unaligned 8-byte load (a word plus its bit offset is at most
+// 39 bits), falling back to the byte loop only for the words within 8
+// bytes of the end of the packed bytes.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -37,6 +45,14 @@ class PackedWordStore {
     const std::uint64_t v = load_span(pos) >> (pos & 7);
     return static_cast<std::uint32_t>(v & word_mask());
   }
+
+  /// Bulk golden compare: for every k, compares words[k] with the stored
+  /// word of group first + k and appends first + k to `mismatches` when
+  /// they differ, so the ids come out in ascending order. The run must
+  /// lie inside the store (checked once, not per group).
+  void append_mismatches(std::int64_t first,
+                         std::span<const std::uint32_t> words,
+                         std::vector<std::int64_t>& mismatches) const;
 
   /// Bytes needed to hold all words (bit-packed, rounded up).
   std::int64_t storage_bytes() const {
@@ -79,6 +95,13 @@ class SignatureStore {
   void set(std::int64_t group, Signature s);
   Signature get(std::int64_t group) const {
     return Signature{static_cast<std::uint8_t>(words_.get(group)), width()};
+  }
+  /// PackedWordStore::append_mismatches over signature words (Signature
+  /// bits, as LayerScanner::signature_words_range_into computes them).
+  void append_mismatches(std::int64_t first,
+                         std::span<const std::uint32_t> words,
+                         std::vector<std::int64_t>& mismatches) const {
+    words_.append_mismatches(first, words, mismatches);
   }
 
   /// Bytes needed to hold all signatures (bit-packed, rounded up).

@@ -1,5 +1,6 @@
 #include "quant/qmodel.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/simd_ops.h"
@@ -161,24 +162,50 @@ void QuantizedModel::restore(const ArenaSnapshot& snap) {
     RADAR_REQUIRE(snap.layer(i).offset == arena_.layer(i).offset &&
                       snap.layer(i).size == arena_.layer(i).size,
                   "snapshot layer geometry mismatch");
-  // Per-layer changed probe: a restore after a handful of flips (or none
-  // at all — campaign loops restore unconditionally) should cost one
-  // compare pass at memory bandwidth, not a whole-model float dequantize.
-  // The padding between layers is zero on both sides by invariant, so
+  // Per-layer changed probe, then per-block: a restore after a handful of
+  // flips (or none at all — campaign loops restore unconditionally)
+  // should cost one compare pass at memory bandwidth plus the blocks the
+  // flips landed in, not a layer-wide float dequantize. Layers start
+  // 64-byte aligned, so each block is one cache line of codes; runs of
+  // differing blocks are copied and dequantized together, so a layer that
+  // differs everywhere costs what one memcpy + sync_layer does. The
+  // padding between layers is zero on both sides by invariant, so
   // comparing the layer slices covers the blob.
+  constexpr std::int64_t kBlock = kArenaAlignment;
   const std::int8_t* src = snap.bytes().data();
   std::int8_t* dst = arena_.bytes().data();
   bool any_changed = false;
+  // The block loop calls the compare once per 64 bytes: resolve the
+  // dispatch once, not per call.
+  const simd::BytesEqualFn equal =
+      simd::bytes_equal_table()[static_cast<int>(cpu::active_level())];
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const ArenaLayer& l = arena_.layer(i);
     if (l.size == 0) continue;
-    if (simd::bytes_equal(dst + l.offset, src + l.offset,
-                          static_cast<std::size_t>(l.size)))
-      continue;
+    const std::int8_t* s = src + l.offset;
+    std::int8_t* d = dst + l.offset;
+    if (equal(d, s, static_cast<std::size_t>(l.size))) continue;
     any_changed = true;
-    std::memcpy(dst + l.offset, src + l.offset,
-                static_cast<std::size_t>(l.size));
-    sync_layer(i);  // refresh only this layer's float mirror
+    const auto block_equal = [&](std::int64_t b) {
+      return equal(d + b, s + b,
+                   static_cast<std::size_t>(std::min(kBlock, l.size - b)));
+    };
+    const QuantLayer& ql = layers_[i];
+    float* mirror = ql.param->value.data();
+    for (std::int64_t b = 0; b < l.size;) {
+      if (block_equal(b)) {
+        b += kBlock;
+        continue;
+      }
+      std::int64_t e = b + kBlock;
+      while (e < l.size && !block_equal(e)) e += kBlock;
+      e = std::min(e, l.size);
+      const auto n = static_cast<std::size_t>(e - b);
+      std::memcpy(d + b, s + b, n);
+      dequantize_into(ql.q.subspan(static_cast<std::size_t>(b), n), ql.scale,
+                      mirror + b);
+      b = e;
+    }
   }
   if (!any_changed && dirty_.empty()) return;  // baseline already current
   dirty_.clear();

@@ -6,8 +6,9 @@
 // that forward passes and attacker gradients both see the quantized
 // network. Bit flips mutate the arena and are synced back to the float
 // mirror. Each QuantLayer::q is a span view into the arena; snapshots are
-// one-memcpy ArenaSnapshots, and baseline comparison under dirty tracking
-// is a byte compare against a second arena copy.
+// one-memcpy ArenaSnapshots, restoring one copies back and re-dequantizes
+// only the 64-byte blocks that differ, and baseline comparison under
+// dirty tracking is a byte compare against a second arena copy.
 #pragma once
 
 #include <cstdint>
@@ -135,8 +136,11 @@ class QuantizedModel {
   // ---- snapshots ----
   /// One-memcpy copy of the arena blob.
   ArenaSnapshot snapshot() const;
-  /// Full-state restore (one memcpy + float resync); also clears the
-  /// dirty log (the restored state is the new baseline).
+  /// Full-state restore: each layer whose bytes differ from the snapshot
+  /// gets back only its differing 64-byte blocks, and only those blocks'
+  /// floats are re-dequantized (bit-identical to sync_layer), so a restore
+  /// after a few flips costs one compare pass plus the changed blocks.
+  /// Also clears the dirty log (the restored state is the new baseline).
   void restore(const ArenaSnapshot& snap);
 
   /// Total int8 weight bytes (= weight count).

@@ -267,6 +267,32 @@ TEST(LayerScanner, MaskedSumsMatchReference) {
               masked_group_sum(w, layout, g, mask));
 }
 
+// The branch-free signature words the bulk golden compare reads are
+// binarize()'s bits, on every range of either layout and both widths.
+TEST(LayerScanner, SignatureWordsMatchBinarize) {
+  Rng rng(57);
+  std::vector<std::int8_t> w(1000);
+  for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  for (const bool inter : {false, true}) {
+    const GroupLayout layout = inter ? GroupLayout::interleaved(1000, 64, 3)
+                                     : GroupLayout::contiguous(1000, 64);
+    const std::int64_t ng = layout.num_groups();
+    for (const int bits : {2, 3}) {
+      const LayerScanner scanner(layout, MaskStream(0xA1B3), bits);
+      ScanScratch scratch;
+      for (const auto& [b, e] : {std::pair<std::int64_t, std::int64_t>{0, ng},
+                                 {3, 11}, {ng - 1, ng}, {5, 5}}) {
+        scanner.signature_words_range_into(w, b, e, scratch);
+        ASSERT_EQ(static_cast<std::int64_t>(scratch.state.size()), e - b);
+        for (std::int64_t g = b; g < e; ++g)
+          EXPECT_EQ(scratch.state[static_cast<std::size_t>(g - b)],
+                    binarize(scanner.group_sum(w, g), bits).bits)
+              << "group " << g << " inter=" << inter << " bits=" << bits;
+      }
+    }
+  }
+}
+
 TEST(LayerScanner, SizeMismatchThrows) {
   const GroupLayout layout = GroupLayout::contiguous(64, 8);
   const MaskStream mask(1);

@@ -1,6 +1,9 @@
 // SignatureStore / PackedWordStore: bit-packing round trips, the packed
-// byte format against a bit-by-bit reference, and storage accounting.
+// byte format against a bit-by-bit reference, the bulk golden compare
+// against per-group reads, and storage accounting.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/rng.h"
 #include "core/signature_store.h"
@@ -149,6 +152,49 @@ TEST_P(PackedWidth, SetPackedDecodesLikeReference) {
     for (std::int64_t g = 0; g < n; ++g)
       ASSERT_EQ(store.get(g), expected[static_cast<std::size_t>(g)])
           << "width " << width << " groups " << n << " group " << g;
+  }
+}
+
+// The bulk compare must agree with per-group get() for every start offset
+// mod 8 (every bit phase of the 8-byte loads), for runs ending at the last
+// group (the byte-loop tail near the end of the packed bytes), for the
+// empty run, and must report planted mismatches in ascending order.
+TEST_P(PackedWidth, AppendMismatchesMatchesPerGroupGet) {
+  const int width = GetParam();
+  for (const std::int64_t n : {std::int64_t{1}, std::int64_t{13},
+                               std::int64_t{64}, std::int64_t{257}}) {
+    PackedWordStore store(n, width);
+    Rng rng(static_cast<std::uint64_t>(width * 31 + n));
+    for (std::int64_t g = 0; g < n; ++g)
+      store.set(g, static_cast<std::uint32_t>(rng.bits()) & width_mask(width));
+    for (std::int64_t first = 0; first < std::min<std::int64_t>(n, 8);
+         ++first) {
+      for (const std::int64_t last : {first, std::min(first + 5, n), n}) {
+        std::vector<std::uint32_t> words;
+        for (std::int64_t g = first; g < last; ++g)
+          words.push_back(store.get(g));
+        // Plant a mismatch at every third word of the run.
+        std::size_t planted = 0;
+        for (std::size_t k = 0; k < words.size(); k += 3, ++planted)
+          words[k] ^= 1u << (k % static_cast<std::size_t>(width));
+        std::vector<std::int64_t> expected = {-1};
+        for (std::int64_t g = first; g < last; ++g)
+          if (store.get(g) != words[static_cast<std::size_t>(g - first)])
+            expected.push_back(g);
+        ASSERT_EQ(expected.size(), planted + 1);
+        std::vector<std::int64_t> got = {-1};  // appended to, not cleared
+        store.append_mismatches(first, words, got);
+        ASSERT_EQ(got, expected) << "width " << width << " groups " << n
+                                 << " run [" << first << ", " << last << ")";
+      }
+    }
+    std::vector<std::int64_t> none;
+    store.append_mismatches(n, {}, none);
+    EXPECT_TRUE(none.empty());
+    const std::vector<std::uint32_t> two(2, 0u);
+    EXPECT_THROW(store.append_mismatches(n - 1, two, none), InvalidArgument);
+    EXPECT_THROW(store.append_mismatches(-1, {}, none), InvalidArgument);
+    EXPECT_THROW(store.append_mismatches(n + 1, {}, none), InvalidArgument);
   }
 }
 

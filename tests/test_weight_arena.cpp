@@ -183,6 +183,21 @@ TEST_F(QuantArenaTest, LoadWeightsReplacesBlobAndScales) {
                InvalidArgument);
 }
 
+// Every float of every layer's mirror is bit-equal to dequantize() of its
+// code: what sync_layer writes, so a restore that re-dequantizes only the
+// changed blocks leaves the mirror exactly as a whole-layer resync would.
+void expect_mirror_matches_codes(const QuantizedModel& qm) {
+  for (std::size_t li = 0; li < qm.num_layers(); ++li) {
+    const QuantLayer& l = qm.layer(li);
+    for (std::int64_t i = 0; i < l.size(); ++i) {
+      const float want = dequantize(l.q[static_cast<std::size_t>(i)], l.scale);
+      const float got = l.param->value[i];
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+          << "layer " << li << " index " << i;
+    }
+  }
+}
+
 TEST_F(QuantArenaTest, SnapshotRestoreIsExact) {
   const ArenaSnapshot clean = qm_.snapshot();
   Rng rng(0xA5);
@@ -195,6 +210,39 @@ TEST_F(QuantArenaTest, SnapshotRestoreIsExact) {
   EXPECT_FALSE(qm_.snapshot() == clean);
   qm_.restore(clean);
   EXPECT_TRUE(qm_.snapshot() == clean);
+  expect_mirror_matches_codes(qm_);
+}
+
+// set_code writes, scattered over blocks (sparse path: a few 64-byte
+// blocks per layer differ, the layer's last, possibly short, one too).
+TEST_F(QuantArenaTest, SnapshotRestoreIsExactAfterSetCode) {
+  const ArenaSnapshot clean = qm_.snapshot();
+  Rng rng(0x5E7);
+  for (std::size_t li = 0; li < qm_.num_layers(); ++li) {
+    const std::int64_t n = qm_.layer(li).size();
+    for (const std::int64_t i : {std::int64_t{0}, n / 2, n - 1,
+                                 rng.uniform_int(0, n - 1)})
+      qm_.set_code(li, i, static_cast<std::int8_t>(~qm_.get_code(li, i)));
+  }
+  EXPECT_FALSE(qm_.snapshot() == clean);
+  qm_.restore(clean);
+  EXPECT_TRUE(qm_.snapshot() == clean);
+  expect_mirror_matches_codes(qm_);
+}
+
+// One layer changed at every byte (dense path: every block of the layer
+// differs); the other layers are untouched.
+TEST_F(QuantArenaTest, SnapshotRestoreIsExactAfterWholeLayerChange) {
+  const ArenaSnapshot clean = qm_.snapshot();
+  std::size_t big = 0;
+  for (std::size_t li = 1; li < qm_.num_layers(); ++li)
+    if (qm_.layer(li).size() > qm_.layer(big).size()) big = li;
+  ASSERT_GT(qm_.layer(big).size(), 2 * kArenaAlignment);
+  for (std::int64_t i = 0; i < qm_.layer(big).size(); ++i)
+    qm_.set_code(big, i, static_cast<std::int8_t>(~qm_.get_code(big, i)));
+  qm_.restore(clean);
+  EXPECT_TRUE(qm_.snapshot() == clean);
+  expect_mirror_matches_codes(qm_);
 }
 
 }  // namespace
