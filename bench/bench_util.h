@@ -9,9 +9,11 @@
 // entry) so CI can track a perf trajectory across PRs.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,6 +53,33 @@ double measure_ns_per_op(F&& fn, int min_reps = 3,
          static_cast<double>(reps);
 }
 
+/// Median, fastest and slowest of repeated timings.
+struct Spread {
+  double median, min, max;
+};
+
+inline Spread spread(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return {v[v.size() / 2], v.front(), v.back()};
+}
+
+/// ns per call of each of `fns`, timed by measure_ns_per_op in `rounds`
+/// rounds that rotate which function goes first, so a slow phase of a
+/// shared machine spreads over all of them. One Spread per function.
+inline std::vector<Spread> interleaved_rounds(
+    const std::vector<std::function<void()>>& fns, int rounds,
+    double min_seconds = 0.05) {
+  std::vector<std::vector<double>> ns(fns.size());
+  for (int r = 0; r < rounds; ++r)
+    for (std::size_t i = 0; i < fns.size(); ++i) {
+      const std::size_t f = (i + static_cast<std::size_t>(r)) % fns.size();
+      ns[f].push_back(measure_ns_per_op(fns[f], 3, min_seconds));
+    }
+  std::vector<Spread> out;
+  for (auto& v : ns) out.push_back(spread(std::move(v)));
+  return out;
+}
+
 /// Machine-readable bench results: one entry per measurement, written as
 /// BENCH_<bench>.json into RADAR_BENCH_JSON_DIR (default: cwd).
 class JsonReport {
@@ -63,7 +92,14 @@ class JsonReport {
   /// scan paths one byte is one weight, so ns_per_weight == ns/byte.
   void add(const std::string& name, double ns_per_op,
            double bytes_per_op = 0.0) {
-    entries_.push_back({name, ns_per_op, bytes_per_op});
+    entries_.push_back({name, ns_per_op, bytes_per_op, 0.0, 0.0});
+  }
+
+  /// Record a measurement repeated over rounds: ns_per_op is the median,
+  /// and the entry also carries the fastest and slowest round.
+  void add_spread(const std::string& name, const Spread& t,
+                  double bytes_per_op = 0.0) {
+    entries_.push_back({name, t.median, bytes_per_op, t.min, t.max});
   }
 
   /// Write BENCH_<bench>.json; returns the path ("" on failure).
@@ -80,6 +116,9 @@ class JsonReport {
       const auto& e = entries_[i];
       std::fprintf(f, "    {\"name\": \"%s\", \"ns_per_op\": %.3f",
                    e.name.c_str(), e.ns_per_op);
+      if (e.max_ns > 0.0)
+        std::fprintf(f, ", \"ns_min\": %.3f, \"ns_max\": %.3f", e.min_ns,
+                     e.max_ns);
       if (e.bytes_per_op > 0.0) {
         const double bytes_per_sec = 1e9 * e.bytes_per_op / e.ns_per_op;
         std::fprintf(f,
@@ -101,6 +140,7 @@ class JsonReport {
     std::string name;
     double ns_per_op;
     double bytes_per_op;
+    double min_ns, max_ns;  ///< spread over rounds (0: single sample)
   };
   std::string bench_name_;
   std::vector<Entry> entries_;

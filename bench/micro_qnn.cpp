@@ -1,30 +1,46 @@
-// micro_qnn — int8 inference kernel throughput and end-to-end eval speedup.
+// micro_qnn — int8 inference kernel throughput, the engine's per-part
+// breakdown at paper model sizes, and end-to-end eval speedup.
 //
-// Two sections, both landing in BENCH_qnn.json (the inference-path
+// Three sections, all landing in BENCH_qnn.json (the inference-path
 // counterpart of BENCH_scan.json):
 //
 //  1. Kernel throughput (GMAC/s) per ResNet-20 layer shape: the
 //     pre-existing direct 7-loop convolution (conv2d_i8) vs the batched
-//     im2col + tiled int8 GEMM path (conv2d_i8_tiled), batch 8. Outputs
-//     are asserted bit-identical while timing.
+//     k-quad packing + tiled int8 GEMM path (conv2d_i8_tiled), batch 8.
+//     Outputs are asserted bit-identical while timing.
 //
-//  2. End-to-end: the trained tiny bundle's eval path (the accuracy
+//  2. Engine breakdown on seeded full-width resnet20(10) and
+//     resnet18(20, 64) (random weights, calibrated on a random batch):
+//     single-thread batch-1 and batch-8 forwards (pool = nullptr, as a
+//     serving worker runs them), then per conv shape of the batch-1
+//     forward the pack (pack_patches_u8) and the tile + epilogue
+//     (gemm_i8_packed) of one sample, and the remainder (quantize, add,
+//     pool, linear, dispatch) as `nonconv`. Each timed row is the median
+//     of 5 interleaved rounds, recorded with its fastest and slowest.
+//
+//  3. End-to-end: the trained tiny bundle's eval path (the accuracy
 //     measurements every campaign trial with eval_subset > 0 pays) run
 //     through the reference engine (direct conv per sample — the old
 //     kernels) vs the batched engine. Logits must be byte-identical; the
 //     images/sec ratio is the acceptance number (target >= 4x).
 //
-// JSON semantics: conv entries use bytes_per_op = MACs, so gb_per_sec
-// reads as GMAC/s; eval entries are ns per full-test-split evaluation.
+// JSON semantics: conv and gemm entries use bytes_per_op = MACs, so
+// gb_per_sec reads as GMAC/s; pack entries use the packed bytes; forward
+// entries are ns per forward call; eval entries are ns per
+// full-test-split evaluation.
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/cpu_features.h"
 #include "data/trainer.h"
 #include "exp/workspace.h"
 #include "qnn/engine.h"
 #include "qnn/kernels.h"
+#include "quant/qmodel.h"
 
 namespace {
 
@@ -37,6 +53,137 @@ struct ConvCase {
   qnn::ConvGeom geom;
   std::int64_t in_hw;
 };
+
+/// One conv geometry of a program, with the input map it runs on.
+struct ShapeUse {
+  const qnn::EngineOp* op = nullptr;  ///< first conv of this shape
+  std::int64_t in_hw = 0;
+  int count = 0;                      ///< ops of this shape in the program
+};
+
+/// Section 2 for one seeded network.
+void engine_breakdown(const std::string& name, const nn::ResNetSpec& spec,
+                      bench::JsonReport& json) {
+  Rng rng(1);
+  nn::ResNet net(spec, rng);
+  quant::QuantizedModel qm(net);
+  const std::int64_t hw = 32;
+  qnn::InferenceEngine engine(qm, qnn::EngineKind::kBatched, nullptr);
+  engine.calibrate(nn::Tensor::randn({16, 3, hw, hw}, rng));
+  const nn::Tensor x1 = nn::Tensor::randn({1, 3, hw, hw}, rng);
+  const nn::Tensor x8 = nn::Tensor::randn({8, 3, hw, hw}, rng);
+
+  // Conv shapes of the program in order, with their input maps.
+  std::vector<ShapeUse> shapes;
+  std::int64_t h[3] = {0, 0, 0};
+  h[engine.program().ops.front().src] = hw;
+  for (const qnn::EngineOp& op : engine.program().ops) {
+    if (op.kind == qnn::EngineOp::Kind::kConv) {
+      const auto key = [](const qnn::ConvGeom& g, std::int64_t in) {
+        return std::make_tuple(g.in_channels, g.out_channels, g.kernel,
+                               g.stride, g.padding, in);
+      };
+      auto it = std::find_if(shapes.begin(), shapes.end(),
+                             [&](const ShapeUse& u) {
+                               return key(u.op->geom, u.in_hw) ==
+                                      key(op.geom, h[op.src]);
+                             });
+      if (it == shapes.end())
+        it = shapes.insert(shapes.end(), ShapeUse{&op, h[op.src], 0});
+      ++it->count;
+      h[op.dst] = op.geom.out_size(h[op.src]);
+    } else if (op.kind == qnn::EngineOp::Kind::kPool) {
+      h[op.dst] = 1;
+    }
+  }
+
+  qnn::QnnScratch s1, s8;
+  nn::Tensor l1, l8;
+  std::vector<std::function<void()>> fns = {
+      [&] { engine.forward_into(x1, s1, l1); g_sink = g_sink + l1[0]; },
+      [&] { engine.forward_into(x8, s8, l8); g_sink = g_sink + l8[0]; },
+  };
+  struct PartBuffers {
+    std::vector<std::int8_t> x;
+    std::vector<std::uint8_t> stage, packed;
+    std::vector<float> out;
+  };
+  std::vector<PartBuffers> bufs(shapes.size());
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const ShapeUse& u = shapes[i];
+    const qnn::ConvGeom& g = u.op->geom;
+    const std::int64_t k = g.in_channels * g.kernel * g.kernel;
+    const std::int64_t p = g.out_size(u.in_hw) * g.out_size(u.in_hw);
+    PartBuffers& b = bufs[i];
+    b.x.resize(static_cast<std::size_t>(g.in_channels * u.in_hw * u.in_hw));
+    for (auto& v : b.x)
+      v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+    b.stage.resize(static_cast<std::size_t>(
+        qnn::pack_stage_bytes(g, u.in_hw, u.in_hw)));
+    b.packed.resize(static_cast<std::size_t>(nn::packed_bytes(k, p)));
+    b.out.resize(static_cast<std::size_t>(g.out_channels * p));
+    const quant::QuantLayer& ql = qm.layer(u.op->qlayer);
+    fns.push_back([&b, &u] {
+      qnn::pack_patches_u8(b.x.data(), u.op->geom, u.in_hw, u.in_hw,
+                           b.stage.data(), b.packed.data());
+      g_sink = g_sink + b.packed[0];
+    });
+    fns.push_back([&b, &u, &ql, k, p] {
+      const nn::RequantEpilogue epi{u.op->out_scale.data(), nullptr, true};
+      nn::gemm_i8_packed(ql.q.data(), b.packed.data(), b.out.data(), 0,
+                         u.op->geom.out_channels, k, p, k, p, epi);
+      g_sink = g_sink + b.out[0];
+    });
+  }
+  const std::vector<bench::Spread> t =
+      bench::interleaved_rounds(fns, 5, 0.02);
+
+  std::printf("\n  %s, single thread (median of 5 rounds):\n",
+              name.c_str());
+  std::printf("  %-34s %4s %10s %10s %9s\n", "part", "uses", "us/use",
+              "us/fwd", "GMAC/s");
+  bench::rule();
+  std::printf("  %-34s %4s %10.1f\n", ("forward_b1/" + name).c_str(), "",
+              t[0].median / 1e3);
+  std::printf("  %-34s %4s %10.1f   (%.1f us/image)\n",
+              ("forward_b8/" + name).c_str(), "", t[1].median / 1e3,
+              t[1].median / 8e3);
+  json.add_spread("forward_b1/" + name, t[0]);
+  json.add_spread("forward_b8/" + name, t[1]);
+  double pack_sum = 0.0, gemm_sum = 0.0;
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const ShapeUse& u = shapes[i];
+    const qnn::ConvGeom& g = u.op->geom;
+    const std::int64_t k = g.in_channels * g.kernel * g.kernel;
+    const std::int64_t p = g.out_size(u.in_hw) * g.out_size(u.in_hw);
+    const std::string shape =
+        name + "/c" + std::to_string(g.in_channels) + "x" +
+        std::to_string(g.out_channels) + "_k" + std::to_string(g.kernel) +
+        "_s" + std::to_string(g.stride) + "_" + std::to_string(u.in_hw);
+    const bench::Spread& pack = t[2 + 2 * i];
+    const bench::Spread& gemm = t[3 + 2 * i];
+    const double pack_ns = pack.median, gemm_ns = gemm.median;
+    const double macs = static_cast<double>(g.out_channels * k * p);
+    pack_sum += u.count * pack_ns;
+    gemm_sum += u.count * gemm_ns;
+    std::printf("  %-34s %4d %10.1f %10.1f\n", ("pack/" + shape).c_str(),
+                u.count, pack_ns / 1e3, u.count * pack_ns / 1e3);
+    std::printf("  %-34s %4d %10.1f %10.1f %9.2f\n",
+                ("gemm/" + shape).c_str(), u.count, gemm_ns / 1e3,
+                u.count * gemm_ns / 1e3, macs / gemm_ns);
+    json.add_spread("pack/" + shape, pack,
+                    static_cast<double>(nn::packed_bytes(k, p)));
+    json.add_spread("gemm/" + shape, gemm, macs);
+  }
+  const double nonconv = t[0].median - pack_sum - gemm_sum;
+  std::printf("  %-34s %4s %10s %10.1f\n", "pack, all convs", "", "",
+              pack_sum / 1e3);
+  std::printf("  %-34s %4s %10s %10.1f\n", "gemm, all convs", "", "",
+              gemm_sum / 1e3);
+  std::printf("  %-34s %4s %10s %10.1f\n", ("nonconv/" + name).c_str(), "",
+              "", nonconv / 1e3);
+  json.add("nonconv/" + name, nonconv);
+}
 
 }  // namespace
 
@@ -103,7 +250,17 @@ int main() {
     json.add(std::string(c.name) + "_tiled", ns_tiled, macs);
   }
 
-  // ---- section 2: end-to-end eval path on the trained tiny bundle ----
+  // ---- section 2: engine breakdown at paper model sizes ----
+  bench::rule();
+  std::printf("  engine breakdown (SIMD level %s)\n",
+              cpu::level_name(cpu::active_level()));
+  engine_breakdown("resnet20", nn::ResNetSpec::resnet20(10), json);
+  engine_breakdown("resnet18", nn::ResNetSpec::resnet18(20, 64), json);
+  bench::note(
+      "nonconv = forward_b1 - sum over convs of pack + gemm: quantize, "
+      "residual add, pool, linear and op dispatch");
+
+  // ---- section 3: end-to-end eval path on the trained tiny bundle ----
   exp::ModelBundle bundle = exp::load_or_train("tiny");
   const std::int64_t test_n = bundle.dataset->test_size();
   const std::int64_t calib_n = std::min<std::int64_t>(128, test_n);

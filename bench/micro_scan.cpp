@@ -13,10 +13,11 @@
 //  2. End-to-end: the PR-2 campaign smoke spec evaluated with the full
 //     engine (per-cell attach, whole-model restore, full rescans) vs the
 //     incremental engine (cached schemes, dirty-group scans, write-level
-//     undo). Reports must be byte-identical; the eval-phase speedup is the
-//     acceptance number (target >= 5x vs the pre-PR eval phase, which the
-//     full mode upper-bounds: it still pays attach/restore/full-scan costs),
-//     read as the median ratio of interleaved rounds, with its min-max.
+//     undo). Reports must be byte-identical (the exit code checks only
+//     that). The eval-phase ratio kFull / kIncremental is reported for this
+//     build as the median of interleaved rounds, with its min-max, and has
+//     no target: both engines keep changing, so it describes where the two
+//     stand, not a claim.
 //
 // Usage: bench_micro_scan [campaign_spec.json]
 //   (default spec path assumes running from build/: ../examples/specs/)
@@ -167,7 +168,7 @@ int main(int argc, char** argv) {
   const campaign::CampaignRunner inc(1, 1, campaign::ScanMode::kIncremental);
   // The eval phase is milliseconds, so one sample of the ratio swings
   // with machine noise. Rounds alternate which engine runs first, and the
-  // claim reads the median ratio; the min-max range shows the spread.
+  // report reads the median ratio; the min-max range shows the spread.
   // Reuse nothing across runners so both pay identical profile costs.
   constexpr int kRounds = 9;
   std::vector<double> full_eval, inc_eval, ratio;
@@ -186,14 +187,9 @@ int main(int argc, char** argv) {
     ratio.push_back(rf.eval_seconds / ri.eval_seconds);
     identical = identical && rf.to_json(false) == ri.to_json(false);
   }
-  const auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  const auto [ratio_min, ratio_max] =
-      std::minmax_element(ratio.begin(), ratio.end());
-  const double full_med = median(full_eval);
-  const double inc_med = median(inc_eval);
+  const bench::Spread speedup = bench::spread(ratio);
+  const double full_med = bench::spread(full_eval).median;
+  const double inc_med = bench::spread(inc_eval).median;
   const auto n_units = static_cast<double>(spec.num_trials_total());
   bench::rule();
   std::printf("  campaign '%s': %.0f eval units, threads=1, %d rounds\n",
@@ -203,17 +199,17 @@ int main(int argc, char** argv) {
   std::printf("  %-28s %12.3f ms  (%8.1f us/trial, median)\n",
               "eval_incremental", 1e3 * inc_med, 1e6 * inc_med / n_units);
   std::printf("  %-28s %12.2fx  (min %.2fx, max %.2fx)\n",
-              "eval_speedup (median)", median(ratio), *ratio_min,
-              *ratio_max);
+              "eval_speedup (median)", speedup.median, speedup.min,
+              speedup.max);
   std::printf("  reports byte-identical: %s\n", identical ? "yes" : "NO");
   // The speedup ratio is printed only — every JSON entry keeps ns_per_op
   // time semantics so the trajectory stays machine-comparable.
   json.add("campaign_eval_full", 1e9 * full_med);
   json.add("campaign_eval_incremental", 1e9 * inc_med);
   bench::note(
-      "claim reproduced if the median eval_speedup >= 5 and reports are "
-      "byte-identical; no single round decides it, see the min-max range "
-      "(full mode upper-bounds the pre-PR eval phase)");
+      "eval_speedup is kFull / kIncremental eval time on this build (median "
+      "of interleaved rounds, min-max shows the spread); it has no target. "
+      "The exit code checks only that the reports are byte-identical");
   json.write();
   return identical ? 0 : 1;
 }

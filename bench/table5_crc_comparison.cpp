@@ -12,8 +12,10 @@
 // non-zero when radar2 is not cheaper per byte than every baseline code
 // at ResNet-18 — and a campaign-engine sweep of the same
 // schemes' detection rates under random MSB faults (the capability axis
-// the table's storage/time tradeoff buys).
+// the table's storage/time tradeoff buys). Measured rows are the median of
+// 5 interleaved rounds, recorded with their fastest and slowest.
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -91,6 +93,7 @@ int main() {
   // code at ResNet-18.
   bool radar_cheapest = true;
   {
+    constexpr int kRounds = 5;
     bench::JsonReport json("table5_crc_comparison");
     struct Measured {
       std::string name;
@@ -115,24 +118,41 @@ int main() {
                   "G=%lld):\n",
                   net.name.c_str(), static_cast<long long>(qm.total_weights()),
                   static_cast<long long>(net.group_size));
-      std::printf("  %-16s %12s %12s %12s %12s\n", "scheme", "scan ms",
-                  "ns/byte", "MB/s", "storage B");
+      std::printf("  %-16s %12s %12s %12s %12s   %s\n", "scheme",
+                  "scan ms", "ns/byte", "MB/s", "storage B",
+                  "min-max ms");
       bench::rule();
+      // Every scheme is timed in kRounds rounds that rotate which scheme
+      // goes first, so a slow phase of a shared machine spreads over all
+      // of them; a row is the median round, with the fastest and slowest.
+      const std::vector<std::string> ids =
+          core::SchemeRegistry::instance().ids();
+      std::vector<std::unique_ptr<core::IntegrityScheme>> schemes;
+      for (const auto& id : ids) {
+        schemes.push_back(core::SchemeRegistry::instance().create(id, params));
+        schemes.back()->attach(qm);
+      }
+      std::vector<std::function<void()>> scans;
+      for (const auto& scheme : schemes)
+        scans.push_back([&qm, s = scheme.get()] { (void)s->scan(qm); });
+      const std::vector<bench::Spread> times =
+          bench::interleaved_rounds(scans, kRounds);
       double radar2_ns = 0.0, cheapest_code_ns = 0.0;
       std::string cheapest_code;
-      for (const auto& id : core::SchemeRegistry::instance().ids()) {
-        auto scheme = core::SchemeRegistry::instance().create(id, params);
-        scheme->attach(qm);
-        const double ns = bench::measure_ns_per_op(
-            [&] { (void)scheme->scan(qm); });
-        json.add("scan/" + net.name + "/" + id, ns, bytes);
-        std::printf("  %-16s %12.3f %12.3f %12.1f %12lld\n", id.c_str(),
-                    ns / 1e6, ns / bytes, bytes / ns * 1e3,
-                    static_cast<long long>(scheme->signature_storage_bytes()));
+      for (std::size_t si = 0; si < ids.size(); ++si) {
+        const std::string& id = ids[si];
+        const bench::Spread& t = times[si];
+        const double ns = t.median;
+        json.add_spread("scan/" + net.name + "/" + id, t, bytes);
+        std::printf("  %-16s %12.3f %12.3f %12.1f %12lld   %.3f-%.3f\n",
+                    id.c_str(), ns / 1e6, ns / bytes, bytes / ns * 1e3,
+                    static_cast<long long>(
+                        schemes[si]->signature_storage_bytes()),
+                    t.min / 1e6, t.max / 1e6);
         if (id == "radar2") radar2_ns = ns;
         const bool baseline =
-            dynamic_cast<const core::GroupedCodeScheme*>(scheme.get()) !=
-            nullptr;
+            dynamic_cast<const core::GroupedCodeScheme*>(
+                schemes[si].get()) != nullptr;
         if (baseline && (cheapest_code.empty() || ns < cheapest_code_ns)) {
           cheapest_code = id;
           cheapest_code_ns = ns;
@@ -150,13 +170,25 @@ int main() {
       sched.plan(*radar, {});
       std::printf("\nscheduler sweep scaling (radar2, %s):\n",
                   net.name.c_str());
-      for (const std::size_t threads : {1, 2, 4}) {
-        std::unique_ptr<ThreadPool> pool;
-        if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-        const double ns = bench::measure_ns_per_op(
-            [&] { (void)sched.sweep(qm, pool.get()); });
-        json.add("scan_sweep/radar2/t" + std::to_string(threads), ns, bytes);
-        std::printf("  %zu thread(s): %10.1f us/scan\n", threads, ns / 1e3);
+      const std::size_t thread_counts[] = {1, 2, 4};
+      std::vector<std::unique_ptr<ThreadPool>> pools;
+      for (const std::size_t threads : thread_counts)
+        pools.push_back(threads > 1 ? std::make_unique<ThreadPool>(threads)
+                                    : nullptr);
+      std::vector<std::function<void()>> sweeps;
+      for (const auto& pool : pools)
+        sweeps.push_back(
+            [&sched, &qm, p = pool.get()] { (void)sched.sweep(qm, p); });
+      const std::vector<bench::Spread> sweep_times =
+          bench::interleaved_rounds(sweeps, kRounds);
+      for (std::size_t ti = 0; ti < pools.size(); ++ti) {
+        const bench::Spread& t = sweep_times[ti];
+        json.add_spread(
+            "scan_sweep/radar2/t" + std::to_string(thread_counts[ti]), t,
+            bytes);
+        std::printf("  %zu thread(s): %10.1f us/scan   (%.1f-%.1f)\n",
+                    thread_counts[ti], t.median / 1e3, t.min / 1e3,
+                    t.max / 1e3);
       }
     }
     std::printf(

@@ -17,196 +17,189 @@ namespace radar::nn {
 
 namespace {
 
-// Register/L1 tile: 4 output rows x 256 int32 accumulators (4 KiB) stays
-// resident while the K loop streams weights and patch rows through it.
-constexpr std::int64_t kMTile = 4;
-constexpr std::int64_t kPTile = 256;
+// Every tile is 4 weight rows by at most 64 columns; its int32
+// accumulators (1 KiB) stay in L1 between the tile and the epilogue.
+constexpr int kTileRows = 4;
+constexpr std::int64_t kMaxColBlock = 64;
 
-/// The m-block microkernel: accumulate acc[mi][pp] += sum_k a_mi[k] *
-/// b[k * ldb + pp] for 4 weight rows and pt <= kPTile patch columns.
-/// acc arrives zeroed. Variants are registered per SIMD level; all
-/// accumulate exactly in int32 (the K <= kInt8GemmMaxK guard in the
-/// entry points bounds every per-column sum), so they are bit-identical.
-using TileFn = void (*)(const std::int8_t* a0, const std::int8_t* a1,
-                        const std::int8_t* a2, const std::int8_t* a3,
-                        const std::int8_t* b, std::int64_t k,
-                        std::int64_t pt, std::int64_t ldb,
-                        std::int32_t acc[kMTile][kPTile]);
+/// The register tile: for r < kTileRows and c < cols,
+///   acc[r * kMaxColBlock + c] = sum_k packed(k, c) * w[r][k]
+/// over the biased (u8) activations of one k-quad patch matrix, `b`
+/// pointing at its column c = 0 and `ldq` bytes between quads. `cols` is a
+/// multiple of kPackCols, at most kMaxColBlock. Rows past the caller's real
+/// rows repeat a real row, so no tile needs a row tail. Every variant reads
+/// the live weight rows during the call (the AVX2 tile through a stack copy
+/// widened to int16), never past byte k (the last, partial quad is
+/// assembled with zero bytes), and sums exactly in int32 — they are
+/// bit-identical.
+using TileFn = void (*)(const std::int8_t* const* w, std::int64_t k,
+                        const std::uint8_t* b, std::int64_t ldq,
+                        std::int64_t cols, std::int32_t* acc);
 
-void tile_i8_scalar(const std::int8_t* a0, const std::int8_t* a1,
-                    const std::int8_t* a2, const std::int8_t* a3,
-                    const std::int8_t* b, std::int64_t k, std::int64_t pt,
-                    std::int64_t ldb, std::int32_t acc[kMTile][kPTile]) {
-  // 4 weight streams share one pass over each patch row (autovectorizes).
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const std::int8_t* brow = b + kk * ldb;
-    const std::int16_t w0 = a0[kk], w1 = a1[kk], w2 = a2[kk], w3 = a3[kk];
-    for (std::int64_t pp = 0; pp < pt; ++pp) {
-      const std::int16_t bv = brow[pp];
-      acc[0][pp] += w0 * bv;
-      acc[1][pp] += w1 * bv;
-      acc[2][pp] += w2 * bv;
-      acc[3][pp] += w3 * bv;
+/// The 32-bit lane of weight bytes k = 4q .. 4q+3 (byte j = w[4q + j]),
+/// zero past `k`.
+inline std::uint32_t weight_quad(const std::int8_t* w, std::int64_t q,
+                                 std::int64_t k) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, w + 4 * q,
+              static_cast<std::size_t>(std::min<std::int64_t>(4, k - 4 * q)));
+  return v;
+}
+
+void tile_scalar(const std::int8_t* const* w, std::int64_t k,
+                 const std::uint8_t* b, std::int64_t ldq, std::int64_t cols,
+                 std::int32_t* acc) {
+  const std::int64_t nq = packed_quads(k);
+  for (int r = 0; r < kTileRows; ++r) {
+    std::int32_t* arow = acc + r * kMaxColBlock;
+    std::fill(arow, arow + cols, 0);
+    for (std::int64_t q = 0; q < nq; ++q) {
+      std::int8_t wq[4] = {0, 0, 0, 0};
+      for (std::int64_t j = 0; j < 4 && 4 * q + j < k; ++j)
+        wq[j] = w[r][4 * q + j];
+      const std::uint8_t* bq = b + q * ldq;
+      for (std::int64_t c = 0; c < cols; ++c)
+        arow[c] += bq[4 * c] * wq[0] + bq[4 * c + 1] * wq[1] +
+                   bq[4 * c + 2] * wq[2] + bq[4 * c + 3] * wq[3];
     }
   }
 }
 
 #if defined(RADAR_GEMM_X86)
 
-// Vector tiles keep the accumulators in registers across the whole K
-// loop (the scalar form streams the 4 KiB acc array through L1 every k
-// step, which is what caps it). Two consecutive k rows are folded per
-// step with pmaddwd on (b[kk], b[kk+1]) i16 pairs; unpacklo/hi_epi16
-// works within 128-bit lanes, so accumulator lane j of the "lo" vector
-// holds column 8*(j/4) + j%4 of its 32-column chunk and the "hi" vector
-// the +4 columns — a fixed permutation undone once when the lanes are
-// stored back to the linear acc array.
+#define RADAR_AVX2_TARGET __attribute__((target("avx2")))
+#define RADAR_VNNI_TARGET \
+  __attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni")))
 
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void tile_i8_avx512(
-    const std::int8_t* a0, const std::int8_t* a1, const std::int8_t* a2,
-    const std::int8_t* a3, const std::int8_t* b, std::int64_t k,
-    std::int64_t pt, std::int64_t ldb, std::int32_t acc[kMTile][kPTile]) {
-  const std::int8_t* const a[kMTile] = {a0, a1, a2, a3};
-  std::int64_t p = 0;
-  for (; p + 32 <= pt; p += 32) {
-    __m512i acc_lo[kMTile], acc_hi[kMTile];
-    for (int mi = 0; mi < kMTile; ++mi) {
-      acc_lo[mi] = _mm512_setzero_si512();
-      acc_hi[mi] = _mm512_setzero_si512();
-    }
-    std::int64_t kk = 0;
-    for (; kk + 2 <= k; kk += 2) {
-      const __m512i vb0 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(b + kk * ldb + p)));
-      const __m512i vb1 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(b + (kk + 1) * ldb + p)));
-      const __m512i lo = _mm512_unpacklo_epi16(vb0, vb1);
-      const __m512i hi = _mm512_unpackhi_epi16(vb0, vb1);
-      for (int mi = 0; mi < kMTile; ++mi) {
-        const __m512i wpair = _mm512_set1_epi32(
-            (static_cast<std::int32_t>(
-                 static_cast<std::uint16_t>(a[mi][kk + 1]))
-             << 16) |
-            static_cast<std::uint16_t>(a[mi][kk]));
-        acc_lo[mi] =
-            _mm512_add_epi32(acc_lo[mi], _mm512_madd_epi16(lo, wpair));
-        acc_hi[mi] =
-            _mm512_add_epi32(acc_hi[mi], _mm512_madd_epi16(hi, wpair));
-      }
-    }
-    if (kk < k) {  // odd K tail: pair the last row with zeros
-      const __m512i vb0 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(b + kk * ldb + p)));
-      const __m512i zero = _mm512_setzero_si512();
-      const __m512i lo = _mm512_unpacklo_epi16(vb0, zero);
-      const __m512i hi = _mm512_unpackhi_epi16(vb0, zero);
-      for (int mi = 0; mi < kMTile; ++mi) {
-        const __m512i wpair =
-            _mm512_set1_epi32(static_cast<std::uint16_t>(a[mi][kk]));
-        acc_lo[mi] =
-            _mm512_add_epi32(acc_lo[mi], _mm512_madd_epi16(lo, wpair));
-        acc_hi[mi] =
-            _mm512_add_epi32(acc_hi[mi], _mm512_madd_epi16(hi, wpair));
-      }
-    }
-    // Un-permute: lane j of lo -> column 8*(j/4) + j%4, hi -> +4.
-    alignas(64) std::int32_t lanes[16];
-    for (int mi = 0; mi < kMTile; ++mi) {
-      _mm512_store_si512(lanes, acc_lo[mi]);
-      for (int j = 0; j < 16; ++j)
-        acc[mi][p + 8 * (j / 4) + j % 4] = lanes[j];
-      _mm512_store_si512(lanes, acc_hi[mi]);
-      for (int j = 0; j < 16; ++j)
-        acc[mi][p + 8 * (j / 4) + 4 + j % 4] = lanes[j];
+inline std::int32_t load_quad(const std::int8_t* p) {
+  std::int32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+// AVX2: a 16-byte load holds 4 columns' quads; widened to 16 u16 lanes it
+// meets the [w0 w1 w2 w3] x4 i16 weight pattern in pmaddwd, which leaves
+// two pair partials per column in int32. They are folded once, after the
+// K loop: hadd pairs the partials, permute4x64 restores column order. The
+// tile widens its 4 weight rows to int16 once per chunk of quads (on the
+// stack, from the live rows), so each row's pattern is one 8-byte
+// broadcast, shared by all of the tile's 8-column sub-tiles.
+
+constexpr std::int64_t kAvx2ChunkQuads = 256;
+
+/// Pair partials of one 4-row x 8-column sub-tile.
+using Avx2Partials = __m256i[kTileRows][2];
+
+/// Adds quads [0, n) of one sub-tile to `part`: `wide[r]` points at row
+/// r's widened weights of the chunk, `b` at the sub-tile's first quad.
+RADAR_AVX2_TARGET void avx2_block(const std::int16_t* const* wide,
+                                  std::int64_t n, const std::uint8_t* b,
+                                  std::int64_t ldq, Avx2Partials& part) {
+  // Register copies: `part` is memory that the byte loads may alias.
+  __m256i c[kTileRows][2];
+  for (int r = 0; r < kTileRows; ++r) {
+    c[r][0] = part[r][0];
+    c[r][1] = part[r][1];
+  }
+  for (std::int64_t q = 0; q < n; ++q, b += ldq) {
+    const __m256i b0 = _mm256_cvtepu8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b)));
+    const __m256i b1 = _mm256_cvtepu8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + 16)));
+    for (int r = 0; r < kTileRows; ++r) {
+      std::int64_t pattern;
+      std::memcpy(&pattern, wide[r] + 4 * q, 8);
+      const __m256i wv = _mm256_set1_epi64x(pattern);
+      c[r][0] = _mm256_add_epi32(c[r][0], _mm256_madd_epi16(b0, wv));
+      c[r][1] = _mm256_add_epi32(c[r][1], _mm256_madd_epi16(b1, wv));
     }
   }
-  if (p < pt) {  // narrow column tail: scalar over the remaining columns
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const std::int8_t* brow = b + kk * ldb;
-      const std::int16_t w0 = a0[kk], w1 = a1[kk], w2 = a2[kk],
-                         w3 = a3[kk];
-      for (std::int64_t pp = p; pp < pt; ++pp) {
-        const std::int16_t bv = brow[pp];
-        acc[0][pp] += w0 * bv;
-        acc[1][pp] += w1 * bv;
-        acc[2][pp] += w2 * bv;
-        acc[3][pp] += w3 * bv;
-      }
-    }
+  for (int r = 0; r < kTileRows; ++r) {
+    part[r][0] = c[r][0];
+    part[r][1] = c[r][1];
   }
 }
 
-__attribute__((target("avx2"))) void tile_i8_avx2(
-    const std::int8_t* a0, const std::int8_t* a1, const std::int8_t* a2,
-    const std::int8_t* a3, const std::int8_t* b, std::int64_t k,
-    std::int64_t pt, std::int64_t ldb, std::int32_t acc[kMTile][kPTile]) {
-  const std::int8_t* const a[kMTile] = {a0, a1, a2, a3};
-  std::int64_t p = 0;
-  for (; p + 16 <= pt; p += 16) {
-    __m256i acc_lo[kMTile], acc_hi[kMTile];
-    for (int mi = 0; mi < kMTile; ++mi) {
-      acc_lo[mi] = _mm256_setzero_si256();
-      acc_hi[mi] = _mm256_setzero_si256();
+RADAR_AVX2_TARGET void tile_avx2(const std::int8_t* const* w,
+                                 std::int64_t k, const std::uint8_t* b,
+                                 std::int64_t ldq, std::int64_t cols,
+                                 std::int32_t* acc) {
+  alignas(32) std::int16_t wide[kTileRows][4 * kAvx2ChunkQuads];
+  const std::int16_t* const rows[kTileRows] = {wide[0], wide[1], wide[2],
+                                               wide[3]};
+  Avx2Partials part[kMaxColBlock / 8];
+  const std::int64_t nsub = cols / 8;
+  for (std::int64_t s = 0; s < nsub; ++s)
+    for (auto& r : part[s]) r[0] = r[1] = _mm256_setzero_si256();
+  const std::int64_t nq = packed_quads(k);
+  for (std::int64_t q0 = 0; q0 < nq; q0 += kAvx2ChunkQuads) {
+    const std::int64_t n = std::min(kAvx2ChunkQuads, nq - q0);
+    // Widen the chunk's weights, zero past k (never read past the row).
+    const std::int64_t k0 = 4 * q0, kn = std::min(k, 4 * (q0 + n)) - k0;
+    for (int r = 0; r < kTileRows; ++r) {
+      for (std::int64_t i = 0; i < kn; ++i) wide[r][i] = w[r][k0 + i];
+      for (std::int64_t i = kn; i < 4 * n; ++i) wide[r][i] = 0;
     }
-    std::int64_t kk = 0;
-    for (; kk + 2 <= k; kk += 2) {
-      const __m256i vb0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(b + kk * ldb + p)));
-      const __m256i vb1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(b + (kk + 1) * ldb + p)));
-      const __m256i lo = _mm256_unpacklo_epi16(vb0, vb1);
-      const __m256i hi = _mm256_unpackhi_epi16(vb0, vb1);
-      for (int mi = 0; mi < kMTile; ++mi) {
-        const __m256i wpair = _mm256_set1_epi32(
-            (static_cast<std::int32_t>(
-                 static_cast<std::uint16_t>(a[mi][kk + 1]))
-             << 16) |
-            static_cast<std::uint16_t>(a[mi][kk]));
-        acc_lo[mi] =
-            _mm256_add_epi32(acc_lo[mi], _mm256_madd_epi16(lo, wpair));
-        acc_hi[mi] =
-            _mm256_add_epi32(acc_hi[mi], _mm256_madd_epi16(hi, wpair));
-      }
-    }
-    if (kk < k) {
-      const __m256i vb0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(b + kk * ldb + p)));
-      const __m256i zero = _mm256_setzero_si256();
-      const __m256i lo = _mm256_unpacklo_epi16(vb0, zero);
-      const __m256i hi = _mm256_unpackhi_epi16(vb0, zero);
-      for (int mi = 0; mi < kMTile; ++mi) {
-        const __m256i wpair =
-            _mm256_set1_epi32(static_cast<std::uint16_t>(a[mi][kk]));
-        acc_lo[mi] =
-            _mm256_add_epi32(acc_lo[mi], _mm256_madd_epi16(lo, wpair));
-        acc_hi[mi] =
-            _mm256_add_epi32(acc_hi[mi], _mm256_madd_epi16(hi, wpair));
-      }
-    }
-    // Un-permute: lane j of lo -> column 8*(j/4) + j%4, hi -> +4.
-    alignas(32) std::int32_t lanes[8];
-    for (int mi = 0; mi < kMTile; ++mi) {
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc_lo[mi]);
-      for (int j = 0; j < 8; ++j)
-        acc[mi][p + 8 * (j / 4) + j % 4] = lanes[j];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc_hi[mi]);
-      for (int j = 0; j < 8; ++j)
-        acc[mi][p + 8 * (j / 4) + 4 + j % 4] = lanes[j];
-    }
+    for (std::int64_t s = 0; s < nsub; ++s)
+      avx2_block(rows, n, b + q0 * ldq + 32 * s, ldq, part[s]);
   }
-  if (p < pt) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const std::int8_t* brow = b + kk * ldb;
-      const std::int16_t w0 = a0[kk], w1 = a1[kk], w2 = a2[kk],
-                         w3 = a3[kk];
-      for (std::int64_t pp = p; pp < pt; ++pp) {
-        const std::int16_t bv = brow[pp];
-        acc[0][pp] += w0 * bv;
-        acc[1][pp] += w1 * bv;
-        acc[2][pp] += w2 * bv;
-        acc[3][pp] += w3 * bv;
-      }
-    }
+  for (std::int64_t s = 0; s < nsub; ++s)
+    for (int r = 0; r < kTileRows; ++r)
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(acc + r * kMaxColBlock + 8 * s),
+          _mm256_permute4x64_epi64(
+              _mm256_hadd_epi32(part[s][r][0], part[s][r][1]), 0xD8));
+}
+
+// AVX-512 VNNI: a 64-byte load holds 16 columns' quads, and one vpdpbusd
+// per (row, vector) adds the four u8 x s8 products of a column into its
+// int32 lane against the row's 4 weight bytes broadcast.
+
+template <int NV>
+RADAR_VNNI_TARGET inline __attribute__((always_inline)) void vnni_quad(
+    __m512i (&c)[kTileRows][NV], const std::uint8_t* bq,
+    const std::int32_t (&wq)[kTileRows]) {
+  __m512i bv[NV];
+  for (int v = 0; v < NV; ++v) bv[v] = _mm512_loadu_si512(bq + 64 * v);
+  for (int r = 0; r < kTileRows; ++r) {
+    const __m512i wv = _mm512_set1_epi32(wq[r]);
+    for (int v = 0; v < NV; ++v)
+      c[r][v] = _mm512_dpbusd_epi32(c[r][v], bv[v], wv);
+  }
+}
+
+template <int NV>
+RADAR_VNNI_TARGET void vnni_block(const std::int8_t* const* w, std::int64_t k,
+                                  const std::uint8_t* b, std::int64_t ldq,
+                                  std::int32_t* acc) {
+  __m512i c[kTileRows][NV];
+  for (auto& row : c)
+    for (auto& v : row) v = _mm512_setzero_si512();
+  const std::int64_t full = k / 4;
+  std::int32_t wq[kTileRows];
+  for (std::int64_t q = 0; q < full; ++q) {
+    for (int r = 0; r < kTileRows; ++r) wq[r] = load_quad(w[r] + 4 * q);
+    vnni_quad<NV>(c, b + q * ldq, wq);
+  }
+  if (full * 4 < k) {
+    for (int r = 0; r < kTileRows; ++r)
+      wq[r] = static_cast<std::int32_t>(weight_quad(w[r], full, k));
+    vnni_quad<NV>(c, b + full * ldq, wq);
+  }
+  for (int r = 0; r < kTileRows; ++r)
+    for (int v = 0; v < NV; ++v)
+      _mm512_storeu_si512(acc + r * kMaxColBlock + 16 * v, c[r][v]);
+}
+
+RADAR_VNNI_TARGET void tile_vnni(const std::int8_t* const* w,
+                                 std::int64_t k, const std::uint8_t* b,
+                                 std::int64_t ldq, std::int64_t cols,
+                                 std::int32_t* acc) {
+  switch (cols / kPackCols) {
+    case 4: return vnni_block<4>(w, k, b, ldq, acc);
+    case 3: return vnni_block<3>(w, k, b, ldq, acc);
+    case 2: return vnni_block<2>(w, k, b, ldq, acc);
+    default: return vnni_block<1>(w, k, b, ldq, acc);
   }
 }
 
@@ -215,12 +208,13 @@ __attribute__((target("avx2"))) void tile_i8_avx2(
 const TileFn* tile_table() {
   static const std::array<TileFn, cpu::kNumSimdLevels> table = [] {
     std::array<TileFn, cpu::kNumSimdLevels> t;
-    t.fill(&tile_i8_scalar);
+    t.fill(&tile_scalar);
 #if defined(RADAR_GEMM_X86)
     if (cpu::level_supported(cpu::SimdLevel::kAvx2))
-      t[static_cast<int>(cpu::SimdLevel::kAvx2)] = &tile_i8_avx2;
+      t[static_cast<int>(cpu::SimdLevel::kAvx2)] = &tile_avx2;
     if (cpu::level_supported(cpu::SimdLevel::kAvx512))
-      t[static_cast<int>(cpu::SimdLevel::kAvx512)] = &tile_i8_avx512;
+      t[static_cast<int>(cpu::SimdLevel::kAvx512)] =
+          cpu::has_avx512_vnni() ? &tile_vnni : &tile_avx2;
 #endif
     return t;
   }();
@@ -229,47 +223,51 @@ const TileFn* tile_table() {
 
 }  // namespace
 
-void gemm_i8_colblock(const std::int8_t* a, const std::int8_t* b, float* out,
-                      std::int64_t m0, std::int64_t m1, std::int64_t k,
-                      std::int64_t p, std::int64_t lda, std::int64_t ldb,
-                      std::int64_t ldo, const RequantEpilogue& epi) {
+void gemm_i8_packed(const std::int8_t* a, const std::uint8_t* packed,
+                    float* out, std::int64_t m0, std::int64_t m1,
+                    std::int64_t k, std::int64_t p, std::int64_t lda,
+                    std::int64_t ldo, const RequantEpilogue& epi) {
   RADAR_REQUIRE(k <= kInt8GemmMaxK, "int8 GEMM depth overflows int32");
-  const TileFn tile =
-      tile_table()[static_cast<int>(cpu::active_level())];
-  std::int32_t acc[kMTile][kPTile];
-  for (std::int64_t m = m0; m < m1; m += kMTile) {
-    const std::int64_t mt = std::min(kMTile, m1 - m);
-    for (std::int64_t p0 = 0; p0 < p; p0 += kPTile) {
-      const std::int64_t pt = std::min(kPTile, p - p0);
-      for (std::int64_t mi = 0; mi < mt; ++mi)
-        std::memset(acc[mi], 0, sizeof(std::int32_t) *
-                                    static_cast<std::size_t>(pt));
-      if (mt == kMTile) {
-        tile(a + (m + 0) * lda, a + (m + 1) * lda, a + (m + 2) * lda,
-             a + (m + 3) * lda, b + p0, k, pt, ldb, acc);
-      } else {
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          const std::int8_t* brow = b + kk * ldb + p0;
-          for (std::int64_t mi = 0; mi < mt; ++mi) {
-            const std::int16_t wv = a[(m + mi) * lda + kk];
-            std::int32_t* arow = acc[mi];
-            for (std::int64_t pp = 0; pp < pt; ++pp)
-              arow[pp] += wv * static_cast<std::int16_t>(brow[pp]);
-          }
-        }
-      }
-      // Fused epilogue: bias + requant (+ ReLU) in one pass over the tile.
-      for (std::int64_t mi = 0; mi < mt; ++mi) {
-        const float s = epi.scale[m + mi];
-        const float bs = epi.bias != nullptr ? epi.bias[m + mi] : 0.0f;
-        float* orow = out + (m + mi) * ldo + p0;
-        const std::int32_t* arow = acc[mi];
+  const TileFn tile = tile_table()[static_cast<int>(cpu::active_level())];
+  const std::int64_t ldq = packed_cols(p) * 4;
+  alignas(64) std::int32_t acc[kTileRows * kMaxColBlock];
+  std::int32_t corr[kTileRows];
+  const std::int8_t* w[kTileRows];
+  for (std::int64_t g = m0; g < m1; g += kTileRows) {
+    const std::int64_t gm = std::min<std::int64_t>(kTileRows, m1 - g);
+    // 128 * sum(w) per row, from the live row: the activation bias.
+    for (std::int64_t r = 0; r < gm; ++r) {
+      const std::int8_t* row = a + (g + r) * lda;
+      std::int32_t s = 0;
+      for (std::int64_t kk = 0; kk < k; ++kk) s += row[kk];
+      corr[r] = 128 * s;
+    }
+    for (int r = 0; r < kTileRows; ++r)
+      w[r] = a + (g + std::min<std::int64_t>(r, gm - 1)) * lda;
+    for (std::int64_t p0 = 0; p0 < p; p0 += kMaxColBlock) {
+      const std::int64_t pc = std::min(kMaxColBlock, p - p0);
+      tile(w, k, packed + p0 * 4, ldq, packed_cols(pc), acc);
+      // Fused epilogue: bias removal + requant (+ ReLU) over the block.
+      // The subtraction wraps like the tile's int32 sums; without a
+      // concurrent writer both are exact.
+      for (std::int64_t r = 0; r < gm; ++r) {
+        const float s = epi.scale[g + r];
+        const float bs = epi.bias != nullptr ? epi.bias[g + r] : 0.0f;
+        const auto c = static_cast<std::uint32_t>(corr[r]);
+        const std::int32_t* arow = acc + r * kMaxColBlock;
+        float* orow = out + (g + r) * ldo + p0;
         if (epi.relu) {
-          for (std::int64_t pp = 0; pp < pt; ++pp)
-            orow[pp] = requant_one(arow[pp], s, bs, true);
+          for (std::int64_t pp = 0; pp < pc; ++pp)
+            orow[pp] = requant_one(
+                static_cast<std::int32_t>(
+                    static_cast<std::uint32_t>(arow[pp]) - c),
+                s, bs, true);
         } else {
-          for (std::int64_t pp = 0; pp < pt; ++pp)
-            orow[pp] = requant_one(arow[pp], s, bs, false);
+          for (std::int64_t pp = 0; pp < pc; ++pp)
+            orow[pp] = requant_one(
+                static_cast<std::int32_t>(
+                    static_cast<std::uint32_t>(arow[pp]) - c),
+                s, bs, false);
         }
       }
     }

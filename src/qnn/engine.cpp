@@ -12,22 +12,6 @@ namespace radar::qnn {
 
 namespace {
 
-/// The one activation-quantization expression of the engine (shared by
-/// calibration and steady-state forwards so they cannot diverge):
-/// round-half-away-from-zero via clamp + offset + truncate — branchless
-/// select form, so the loop autovectorizes instead of calling lround per
-/// element.
-void quantize_block(const float* x, std::size_t n, float inv_scale,
-                    std::int8_t* q) {
-  for (std::size_t i = 0; i < n; ++i) {
-    float v = x[i] * inv_scale;
-    v = v > 127.0f ? 127.0f : v;
-    v = v < -127.0f ? -127.0f : v;
-    v += v >= 0.0f ? 0.5f : -0.5f;
-    q[i] = static_cast<std::int8_t>(static_cast<std::int32_t>(v));
-  }
-}
-
 /// Static calibration of one conv/linear op from its input activations:
 /// x_scale = max|x| / 127, and the epilogue scale (holding the folded BN
 /// multiplier until now) gains the activation and weight scales.
@@ -318,10 +302,10 @@ void InferenceEngine::run_conv(const EngineOp& op, EngineOp* calib,
       scratch.ensure(scratch.qact, static_cast<std::size_t>(n * csz));
   ThreadPool::chunks_or_inline(pool_, static_cast<std::size_t>(n),
       [&](std::size_t begin, std::size_t end) {
-        quantize_block(src + begin * static_cast<std::size_t>(csz),
-                       (end - begin) * static_cast<std::size_t>(csz),
-                       inv_x_scale,
-                       qact + begin * static_cast<std::size_t>(csz));
+        quantize_activations_into(
+            src + begin * static_cast<std::size_t>(csz),
+            (end - begin) * static_cast<std::size_t>(csz), inv_x_scale,
+            qact + begin * static_cast<std::size_t>(csz));
       });
 
   const nn::RequantEpilogue epi{op.out_scale.data(), op.out_bias.data(),
@@ -355,10 +339,10 @@ void InferenceEngine::run_linear(const EngineOp& op, EngineOp* calib,
       scratch.ensure(scratch.qact, static_cast<std::size_t>(n * f));
   ThreadPool::chunks_or_inline(pool_, static_cast<std::size_t>(n),
       [&](std::size_t begin, std::size_t end) {
-        quantize_block(src + begin * static_cast<std::size_t>(f),
-                       (end - begin) * static_cast<std::size_t>(f),
-                       inv_x_scale,
-                       qact + begin * static_cast<std::size_t>(f));
+        quantize_activations_into(
+            src + begin * static_cast<std::size_t>(f),
+            (end - begin) * static_cast<std::size_t>(f), inv_x_scale,
+            qact + begin * static_cast<std::size_t>(f));
       });
   const nn::RequantEpilogue epi{op.out_scale.data(), op.out_bias.data(),
                                 op.relu};

@@ -27,10 +27,11 @@
 //
 // Two interchangeable conv kernels:
 //   kReference — the pre-existing direct 7-loop convolution, per sample;
-//   kBatched   — int8 im2col (interior rows memcpy'd) feeding the tiled
-//                int8x int8 -> int32 GEMM with fused bias+requant(+ReLU)
-//                epilogue, parallelized over batch x output-channel
-//                blocks through the ThreadPool.
+//   kBatched   — each sample's activations packed as a k-quad u8 patch
+//                matrix (nn/int8_gemm.h) feeding the register-tiled
+//                int8 -> int32 GEMM (VNNI vpdpbusd / AVX2 / scalar) with
+//                fused bias+requant(+ReLU) epilogue, parallelized over
+//                batch x output-channel blocks through the ThreadPool.
 // Both kinds compute identical int32 accumulators and evaluate the same
 // epilogue expression per output, so logits are bit-identical across
 // kinds, thread counts and batch partitionings — campaign reports built
@@ -59,7 +60,7 @@ namespace radar::qnn {
 
 enum class EngineKind {
   kReference,  ///< direct convolution (pre-existing kernel semantics)
-  kBatched,    ///< im2col + tiled GEMM + fused requant epilogue
+  kBatched,    ///< k-quad packing + tiled GEMM + fused requant epilogue
 };
 
 /// One op of an engine program. Activations live in three ping-pong
@@ -101,7 +102,9 @@ EngineProgram compile_program(const quant::QuantizedModel& model);
 /// layers hold `layer_sizes` weights, or nullptr when it can: op wiring,
 /// buffer ids, conv geometry against the layer size, epilogue lengths and
 /// scales are all checked, so a program read from disk that passes never
-/// indexes outside a weight layer or an activation buffer.
+/// indexes outside a weight layer or an activation buffer; and every conv
+/// and linear reduction depth is at most nn::kInt8GemmMaxK, the depth at
+/// which the packed conv tiles' biased u8 x s8 sums still fit in int32.
 const char* program_defect(const EngineProgram& program,
                            std::span<const std::int64_t> layer_sizes);
 /// program_defect against the layers of `model`.

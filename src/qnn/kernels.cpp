@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace radar::qnn {
 
@@ -25,23 +30,6 @@ void check_conv_args(const QTensor& x, std::span<const std::int8_t> w,
   RADAR_REQUIRE(bias.empty() || static_cast<std::int64_t>(bias.size()) ==
                                     geom.out_channels,
                 "bias size mismatch");
-}
-
-/// First xo with xo*stride - padding + kw >= 0 (clamped to [0, ow]).
-inline std::int64_t first_valid(std::int64_t padding, std::int64_t kw,
-                                std::int64_t stride, std::int64_t ow) {
-  const std::int64_t num = padding - kw;
-  if (num <= 0) return 0;
-  return std::min(ow, (num + stride - 1) / stride);
-}
-
-/// First xo with xo*stride - padding + kw >= in_w (clamped to [0, ow]).
-inline std::int64_t first_invalid(std::int64_t in_w, std::int64_t padding,
-                                  std::int64_t kw, std::int64_t stride,
-                                  std::int64_t ow) {
-  const std::int64_t num = in_w + padding - kw;
-  if (num <= 0) return 0;
-  return std::min(ow, (num + stride - 1) / stride);
 }
 
 }  // namespace
@@ -132,44 +120,178 @@ void direct_conv_i8(const std::int8_t* x, const std::int8_t* w,
   }
 }
 
-void im2col_i8(const std::int8_t* x, const ConvGeom& geom, std::int64_t in_h,
-               std::int64_t in_w, std::int8_t* col) {
+namespace {
+
+constexpr std::uint8_t kBiasedZero = 0x80;
+
+/// Bytes a vector step may read past the last element it needs.
+constexpr std::int64_t kStageSlack = 32;
+
+/// Guard bytes before and after each staged plane: every tap of an output
+/// inside the map lies within `padding` rows and columns of its plane.
+std::int64_t stage_guard(const ConvGeom& g, std::int64_t in_w) {
+  return g.padding * in_w + g.padding;
+}
+
+/// Columns [0, ow) of an output row whose tap (shifted dx, `stride`)
+/// falls inside the map are [lo, hi); the others read a neighbouring row.
+std::pair<std::int64_t, std::int64_t> valid_cols(std::int64_t dx,
+                                                 std::int64_t stride,
+                                                 std::int64_t in_w,
+                                                 std::int64_t ow) {
+  // ceil(a / stride) for a >= 0, without a division at stride 1
+  const auto up = [stride](std::int64_t a) {
+    return stride == 1 ? a : (a + stride - 1) / stride;
+  };
+  const std::int64_t lo = dx < 0 ? std::min(ow, up(-dx)) : 0;
+  return {lo, std::max(lo, std::min(ow, up(in_w - dx)))};
+}
+
+/// Interleaves 16 columns of four lane streams (element stride S, or
+/// `s` when S == 0) into 64 bytes of quads at `out`; `n` <= 16 columns
+/// are needed, the others may hold anything.
+template <int S>
+inline void pack_chunk(const std::uint8_t* const (&rs)[4], std::int64_t s,
+                       std::int64_t n, std::uint8_t* out) {
+#if defined(__SSE2__)
+  __m128i v[4];
+  for (int j = 0; j < 4; ++j) {
+    if constexpr (S == 1) {
+      v[j] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rs[j]));
+    } else if constexpr (S == 2) {  // the even bytes of 32
+      const __m128i even = _mm_set1_epi16(0x00FF);
+      v[j] = _mm_packus_epi16(
+          _mm_and_si128(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(rs[j])), even),
+          _mm_and_si128(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(rs[j] + 16)),
+              even));
+    } else {
+      alignas(16) std::uint8_t t[16] = {};
+      for (std::int64_t i = 0; i < n; ++i) t[i] = rs[j][s * i];
+      v[j] = _mm_load_si128(reinterpret_cast<const __m128i*>(t));
+    }
+  }
+  const __m128i t0 = _mm_unpacklo_epi8(v[0], v[1]);
+  const __m128i t1 = _mm_unpackhi_epi8(v[0], v[1]);
+  const __m128i t2 = _mm_unpacklo_epi8(v[2], v[3]);
+  const __m128i t3 = _mm_unpackhi_epi8(v[2], v[3]);
+  auto* d = reinterpret_cast<__m128i*>(out);
+  _mm_storeu_si128(d + 0, _mm_unpacklo_epi16(t0, t2));
+  _mm_storeu_si128(d + 1, _mm_unpackhi_epi16(t0, t2));
+  _mm_storeu_si128(d + 2, _mm_unpacklo_epi16(t1, t3));
+  _mm_storeu_si128(d + 3, _mm_unpackhi_epi16(t1, t3));
+#else
+  const std::int64_t e = S == 0 ? s : S;
+  for (std::int64_t i = 0; i < n; ++i)
+    for (int j = 0; j < 4; ++j) out[4 * i + j] = rs[j][e * i];
+#endif
+}
+
+/// The runs of one quad row: `runs` output runs of `run_len` columns,
+/// lane j of run r starting at base[j] + r * step[j].
+template <int S>
+void pack_runs(const std::uint8_t* const (&base)[4],
+               const std::int64_t (&step)[4], std::int64_t s,
+               std::int64_t runs, std::int64_t run_len, std::int64_t pp,
+               std::uint8_t* dq) {
+  const std::int64_t e = S == 0 ? s : S;
+  for (std::int64_t run = 0; run < runs; ++run) {
+    const std::uint8_t* rs[4];
+    for (int j = 0; j < 4; ++j) rs[j] = base[j] + run * step[j];
+    for (std::int64_t x0 = 0; x0 < run_len; x0 += 16) {
+      // A chunk may run into the next output row (rewritten next) or the
+      // column padding; only the end of the quad row is a hard edge.
+      const std::int64_t p0 = run * run_len + x0;
+      const std::int64_t n = std::min<std::int64_t>(16, run_len - x0);
+      if (p0 + 16 <= pp) {
+        pack_chunk<S>(rs, s, n, dq + 4 * p0);
+      } else {
+        alignas(16) std::uint8_t t[64];
+        pack_chunk<S>(rs, s, n, t);
+        std::memcpy(dq + 4 * p0, t, static_cast<std::size_t>(4 * (pp - p0)));
+      }
+      for (int j = 0; j < 4; ++j) rs[j] += 16 * e;
+    }
+  }
+}
+
+}  // namespace
+
+std::int64_t pack_stage_bytes(const ConvGeom& geom, std::int64_t in_h,
+                              std::int64_t in_w) {
+  const std::int64_t guard = stage_guard(geom, in_w);
   const std::int64_t oh = geom.out_size(in_h), ow = geom.out_size(in_w);
-  const std::int64_t k = geom.kernel, stride = geom.stride,
-                     padding = geom.padding;
-  std::int64_t row = 0;
+  return guard + geom.in_channels * (in_h * in_w + guard) +
+         std::max(nn::packed_cols(oh * ow), geom.stride * ow) + kStageSlack;
+}
+
+void pack_patches_u8(const std::int8_t* x, const ConvGeom& geom,
+                     std::int64_t in_h, std::int64_t in_w,
+                     std::uint8_t* stage, std::uint8_t* dst) {
+  const std::int64_t oh = geom.out_size(in_h), ow = geom.out_size(in_w);
+  const std::int64_t p = oh * ow, pp = nn::packed_cols(p);
+  const std::int64_t k = geom.in_channels * geom.kernel * geom.kernel;
+  const std::int64_t hw = in_h * in_w, s = geom.stride, pad = geom.padding;
+  const std::int64_t guard = stage_guard(geom, in_w), pitch = hw + guard;
+
+  // Stage the sample biased, each plane between guards of biased zeros,
+  // then a biased-zero run the K-tail lanes read. A tap that leaves the
+  // map vertically lands in a guard; one that leaves it horizontally
+  // reads a neighbouring row, re-zeroed below.
+  std::memset(stage, kBiasedZero,
+              static_cast<std::size_t>(pack_stage_bytes(geom, in_h, in_w)));
+  const std::uint8_t* planes = stage + guard;
   for (std::int64_t c = 0; c < geom.in_channels; ++c) {
-    const std::int8_t* xc = x + c * in_h * in_w;
-    for (std::int64_t kh = 0; kh < k; ++kh) {
-      for (std::int64_t kw = 0; kw < k; ++kw, ++row) {
-        std::int8_t* dst = col + row * oh * ow;
-        // Horizontal validity bounds hoisted out of the inner loop: the
-        // interior [lo, hi) needs no per-element bounds check.
-        const std::int64_t lo = first_valid(padding, kw, stride, ow);
-        const std::int64_t hi =
-            std::max(lo, first_invalid(in_w, padding, kw, stride, ow));
-        for (std::int64_t yo = 0; yo < oh; ++yo, dst += ow) {
-          const std::int64_t yi = yo * stride - padding + kh;
-          if (yi < 0 || yi >= in_h) {
-            std::memset(dst, 0, static_cast<std::size_t>(ow));
-            continue;
-          }
-          const std::int8_t* src = xc + yi * in_w;
-          if (lo > 0)
-            std::memset(dst, 0, static_cast<std::size_t>(lo));
-          if (stride == 1) {
-            // Interior fast path: one contiguous row copy.
-            std::memcpy(dst + lo, src + (lo - padding + kw),
-                        static_cast<std::size_t>(hi - lo));
-          } else {
-            for (std::int64_t xo = lo; xo < hi; ++xo)
-              dst[xo] = src[xo * stride - padding + kw];
-          }
-          if (hi < ow)
-            std::memset(dst + hi, 0, static_cast<std::size_t>(ow - hi));
+    std::uint8_t* d = stage + guard + c * pitch;
+    const std::int8_t* xc = x + c * hw;
+    for (std::int64_t i = 0; i < hw; ++i)
+      d[i] = static_cast<std::uint8_t>(xc[i]) ^ kBiasedZero;
+  }
+  const std::uint8_t* dead = planes + geom.in_channels * pitch;
+
+  // A stride-1 conv whose output rows are as wide as its input rows reads
+  // each tap plane as one shifted block; otherwise one run per output row.
+  const bool flat = s == 1 && ow == in_w;
+  const std::int64_t runs = flat ? 1 : oh, run_len = flat ? p : ow;
+  std::int64_t c = 0, kh = 0, kw = 0;  // tap of reduction row 4q + j
+  for (std::int64_t q = 0; q < nn::packed_quads(k); ++q) {
+    std::uint8_t* dq = dst + q * pp * 4;
+    const std::uint8_t* base[4];
+    std::int64_t step[4], dx[4];
+    int live = 0;
+    for (int j = 0; j < 4; ++j) {
+      if (4 * q + j < k) {
+        dx[j] = kw - pad;
+        base[j] = planes + c * pitch + (kh - pad) * in_w + dx[j];
+        step[j] = s * in_w;
+        ++live;
+        if (++kw == geom.kernel) {
+          kw = 0;
+          if (++kh == geom.kernel) kh = 0, ++c;
         }
+      } else {
+        base[j] = dead;
+        step[j] = 0;
       }
     }
+    if (s == 1)
+      pack_runs<1>(base, step, s, runs, run_len, pp, dq);
+    else if (s == 2)
+      pack_runs<2>(base, step, s, runs, run_len, pp, dq);
+    else
+      pack_runs<0>(base, step, s, runs, run_len, pp, dq);
+    for (int j = 0; j < live; ++j) {
+      const auto [lo, hi] = valid_cols(dx[j], s, in_w, ow);
+      if (lo == 0 && hi == ow) continue;
+      for (std::int64_t yo = 0; yo < oh; ++yo) {
+        std::uint8_t* row = dq + 4 * yo * ow + j;
+        for (std::int64_t xo = 0; xo < lo; ++xo) row[4 * xo] = kBiasedZero;
+        for (std::int64_t xo = hi; xo < ow; ++xo) row[4 * xo] = kBiasedZero;
+      }
+    }
+    std::memset(dq + 4 * p, kBiasedZero,
+                static_cast<std::size_t>(4 * (pp - p)));
   }
 }
 
@@ -212,14 +334,19 @@ void conv2d_i8_tiled_exec(const std::int8_t* qx,
   const std::int64_t ckk = geom.in_channels * geom.kernel * geom.kernel;
   const std::int64_t osp = geom.out_size(in_h) * geom.out_size(in_w);
   const std::int64_t in_stride = geom.in_channels * in_h * in_w;
-  std::int8_t* col =
-      scratch.ensure(scratch.col, static_cast<std::size_t>(n * ckk * osp));
+  const std::int64_t pb = nn::packed_bytes(ckk, osp);
+  const std::int64_t sb = pack_stage_bytes(geom, in_h, in_w);
+  std::uint8_t* packed =
+      scratch.ensure(scratch.packed, static_cast<std::size_t>(n * pb));
+  std::uint8_t* stage =
+      scratch.ensure(scratch.stage, static_cast<std::size_t>(n * sb));
   ThreadPool::chunks_or_inline(pool, static_cast<std::size_t>(n),
              [&](std::size_t begin, std::size_t end) {
-               for (std::size_t s = begin; s < end; ++s)
-                 im2col_i8(qx + static_cast<std::int64_t>(s) * in_stride,
-                           geom, in_h, in_w,
-                           col + static_cast<std::int64_t>(s) * ckk * osp);
+               for (std::size_t u = begin; u < end; ++u) {
+                 const auto s = static_cast<std::int64_t>(u);
+                 pack_patches_u8(qx + s * in_stride, geom, in_h, in_w,
+                                 stage + s * sb, packed + s * pb);
+               }
              });
   const std::int64_t blocks = (co + kCoBlock - 1) / kCoBlock;
   ThreadPool::chunks_or_inline(pool, static_cast<std::size_t>(n * blocks),
@@ -228,10 +355,10 @@ void conv2d_i8_tiled_exec(const std::int8_t* qx,
                  const auto s = static_cast<std::int64_t>(u) / blocks;
                  const std::int64_t m0 =
                      (static_cast<std::int64_t>(u) % blocks) * kCoBlock;
-                 nn::gemm_i8_colblock(w.data(), col + s * ckk * osp,
-                                      y + s * co * osp, m0,
-                                      std::min(co, m0 + kCoBlock), ckk, osp,
-                                      ckk, osp, osp, epi);
+                 nn::gemm_i8_packed(w.data(), packed + s * pb,
+                                    y + s * co * osp, m0,
+                                    std::min(co, m0 + kCoBlock), ckk, osp,
+                                    ckk, osp, epi);
                }
              });
 }

@@ -45,12 +45,24 @@ nn::Tensor linear_i8(const QTensor& x, std::span<const std::int8_t> w,
                      float w_scale, std::int64_t out_features,
                      std::span<const float> bias);
 
-/// int8 im2col of one sample [Cin, in_h, in_w] into a row-major
-/// [Cin*K*K, OH*OW] patch matrix. The interior fast path memcpy-copies
-/// contiguous input rows (stride 1) or runs a bounds-check-free strided
-/// gather; padding boundaries are zero-filled outside the inner loop.
-void im2col_i8(const std::int8_t* x, const ConvGeom& geom, std::int64_t in_h,
-               std::int64_t in_w, std::int8_t* col);
+/// Packs one sample [Cin, in_h, in_w] of int8 activations into its k-quad
+/// patch matrix (nn/int8_gemm.h): nn::packed_bytes(Cin*K*K, OH*OW) bytes at
+/// `dst`, k = (c * K + kh) * K + kw, each value biased to u8 (x ^ 0x80),
+/// zero padding and the K / P tails as 0x80. The sample is first staged
+/// biased in `stage` (pack_stage_bytes), each channel plane between
+/// guards of biased zeros, so every tap reads in bounds: a stride-1 conv
+/// whose output rows are its input rows copies each (c, kh, kw) plane as
+/// one shifted block, other geometries one output row at a time, four
+/// taps interleaved per quad; edge columns whose tap left the map are
+/// re-zeroed afterwards.
+void pack_patches_u8(const std::int8_t* x, const ConvGeom& geom,
+                     std::int64_t in_h, std::int64_t in_w,
+                     std::uint8_t* stage, std::uint8_t* dst);
+
+/// Staging bytes pack_patches_u8 needs for one sample of this geometry
+/// (about Cin * in_h * in_w plus guards).
+std::int64_t pack_stage_bytes(const ConvGeom& geom, std::int64_t in_h,
+                              std::int64_t in_w);
 
 /// Reference direct convolution of one sample with a per-channel requant
 /// epilogue — the pre-existing 7-deep kernel, kept as the bit-exactness
@@ -60,7 +72,7 @@ void direct_conv_i8(const std::int8_t* x, const std::int8_t* w,
                     std::int64_t in_w, const nn::RequantEpilogue& epi,
                     float* y);
 
-/// Batched convolution via int8 im2col + tiled int8 GEMM with fused
+/// Batched convolution via the k-quad packer + packed int8 GEMM with fused
 /// requant epilogue. Bit-identical to conv2d_i8 (same int32 sums, same
 /// epilogue expression). The `_into` variant draws all working memory from
 /// `scratch` and writes into a caller tensor (allocation-free after
@@ -76,9 +88,9 @@ void conv2d_i8_tiled_into(const QTensor& x, std::span<const std::int8_t> w,
 
 /// The one batched-conv executor both of the above and the inference
 /// engine run (so tests and benches measure the exact production kernel):
-/// pre-quantized activations `qx` ([N, Cin, in_h, in_w] int8) go through
-/// per-sample im2col, then batch x output-channel-block GEMM units with
-/// the fused epilogue, fanned out over `pool` (null or size-1 = inline,
+/// pre-quantized activations `qx` ([N, Cin, in_h, in_w] int8) are packed
+/// per sample (pack_patches_u8), then batch x output-channel-block GEMM
+/// units (nn::gemm_i8_packed) apply the fused epilogue, fanned out over `pool` (null or size-1 = inline,
 /// allocation-free). Writes NCHW float output into `y`.
 void conv2d_i8_tiled_exec(const std::int8_t* qx,
                           std::span<const std::int8_t> w,

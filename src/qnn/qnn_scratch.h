@@ -19,7 +19,10 @@ namespace radar::qnn {
 struct QnnScratch {
   std::vector<float> act[3];       ///< activation ping-pong + skip buffer
   std::vector<std::int8_t> qact;   ///< quantized input of the current op
-  std::vector<std::int8_t> col;    ///< im2col patch matrices, all samples
+  /// k-quad packed patch matrices of the current conv, all samples
+  /// (nn/int8_gemm.h: [ceil(K/4)][P padded to 16][4] u8, x ^ 0x80 each).
+  std::vector<std::uint8_t> packed;
+  std::vector<std::uint8_t> stage;  ///< biased, guarded input planes
   std::vector<float> scale;        ///< broadcast per-channel epilogue scale
   std::vector<float> bias;         ///< broadcast per-channel epilogue bias
   std::size_t grows = 0;           ///< buffer-growth events (warm-up ends

@@ -9,6 +9,7 @@
 // identically on the integer path.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,6 +34,15 @@ struct QTensor {
 /// Quantize a float activation tensor with the given scale (values are
 /// clamped to [-127, 127]; -128 is reserved to keep symmetry).
 QTensor quantize_activation(const nn::Tensor& x, float scale);
+
+/// The engine's activation quantization (calibration and steady-state
+/// forwards share it so they cannot diverge): q[i] = x[i] * inv_scale
+/// clamped to [-127, 127] and rounded half away from zero by adding +-0.5
+/// and truncating; a NaN quantizes to 0. Note the rounding acts on the
+/// float sum, so it can differ from lround(x * inv_scale) where that sum
+/// rounds (e.g. 0.49999997f + 0.5f == 1.0f).
+void quantize_activations_into(const float* x, std::size_t n,
+                               float inv_scale, std::int8_t* q);
 
 /// Choose a scale covering the tensor's range: max|x| / 127.
 float choose_activation_scale(const nn::Tensor& x);

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "data/trainer.h"
 #include "nn/fold.h"
@@ -37,6 +39,53 @@ TEST(QTensor, ScaleMustBePositive) {
 TEST(QTensor, ZeroTensorScaleFallsBackToOne) {
   nn::Tensor x({8});
   EXPECT_FLOAT_EQ(choose_activation_scale(x), 1.0f);
+}
+
+/// quantize_activations_into's scalar expression, written out here: clamp,
+/// +-0.5, truncate, and 0 for a NaN.
+std::int8_t quantize_reference(float x, float inv_scale) {
+  float v = x * inv_scale;
+  if (std::isnan(v)) return 0;
+  v = v > 127.0f ? 127.0f : v;
+  v = v < -127.0f ? -127.0f : v;
+  v += v >= 0.0f ? 0.5f : -0.5f;
+  return static_cast<std::int8_t>(static_cast<std::int32_t>(v));
+}
+
+TEST(QTensor, ActivationQuantizeMatchesScalarAtBoundaries) {
+  // Values that land on k + 0.5, on and just past +-127, +-0, just either
+  // side of +-0.5, huge and non-finite. Each rotation of the buffer moves
+  // every value through the 16-wide vector body and the scalar tail.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> values = {
+      0.0f, -0.0f, 0.5f, -0.5f, 1.5f, -1.5f, 2.5f, -2.5f, 126.5f, -126.5f,
+      127.0f, -127.0f, 127.5f, -127.5f, 128.0f, -128.0f,
+      std::nextafter(127.0f, inf), std::nextafter(-127.0f, -inf),
+      std::nextafter(126.5f, 0.0f), std::nextafter(-126.5f, 0.0f),
+      std::nextafter(0.5f, 0.0f), std::nextafter(-0.5f, 0.0f),
+      std::nextafter(0.5f, 1.0f), std::nextafter(-0.5f, -1.0f),
+      1e30f, -1e30f, inf, -inf, nan, -nan, 3.0f, -3.0f, 0.25f};
+  const std::size_t n = values.size();  // 33: two vectors and a tail of 1
+  for (const float inv_scale : {1.0f, 4.0f, 0.25f}) {
+    for (std::size_t rot = 0; rot < n; ++rot) {
+      std::vector<float> x(n);
+      for (std::size_t i = 0; i < n; ++i)
+        x[i] = values[(i + rot) % n] / inv_scale;
+      std::vector<std::int8_t> q(n, 99);
+      quantize_activations_into(x.data(), n, inv_scale, q.data());
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(q[i], quantize_reference(x[i], inv_scale))
+            << "x=" << x[i] << " inv_scale=" << inv_scale << " at " << i;
+    }
+  }
+  // A few pinned outcomes of the expression itself.
+  const float pinned[] = {2.5f, -2.5f, 127.5f, 128.0f, -inf, nan, -0.0f,
+                          std::nextafter(0.5f, 0.0f)};
+  const std::int8_t want[] = {3, -3, 127, 127, -127, 0, 0, 1};
+  std::int8_t got[8];
+  quantize_activations_into(pinned, 8, 1.0f, got);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(got[i], want[i]) << pinned[i];
 }
 
 /// Integer conv must agree with the float conv applied to the

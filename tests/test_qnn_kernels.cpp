@@ -1,9 +1,10 @@
-// Differential battery for the batched int8 inference engine: the tiled
-// im2col+GEMM path must match a scalar reference and the pre-existing
+// Differential battery for the batched int8 inference engine: the k-quad
+// packed GEMM path must match a scalar reference and the pre-existing
 // kernels BIT-exactly (int32 accumulation is exact, and both paths share
 // one epilogue expression), across random geometries, odd strides and
-// paddings, 1x1 and large kernels, and batch sizes 1..N — plus the
-// zero-allocation guarantee of the steady-state forward loop.
+// paddings, 1x1 and large kernels, K and P tails of the packed layout,
+// extreme codes, and batch sizes 1..N — plus the zero-allocation
+// guarantee of the steady-state forward loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -93,6 +94,58 @@ nn::Tensor scalar_conv_ref(const QTensor& x, const std::vector<std::int8_t>& w,
   return y;
 }
 
+struct Geom {
+  std::int64_t ci, co, k, stride, pad, h, w, n;
+};
+
+ConvGeom conv_geom(const Geom& c) {
+  ConvGeom g;
+  g.in_channels = c.ci;
+  g.out_channels = c.co;
+  g.kernel = c.k;
+  g.stride = c.stride;
+  g.padding = c.pad;
+  return g;
+}
+
+std::string describe(const Geom& c) {
+  return "ci=" + std::to_string(c.ci) + " co=" + std::to_string(c.co) +
+         " k=" + std::to_string(c.k) + " s=" + std::to_string(c.stride) +
+         " p=" + std::to_string(c.pad) + " hw=" + std::to_string(c.h) + "x" +
+         std::to_string(c.w) + " n=" + std::to_string(c.n);
+}
+
+/// Seams of the packed layout: K = Cin*K*K with every K mod 4 (the
+/// partial last quad, including the stem's K = 27), P = OH*OW of 1, 4,
+/// 15, 17, 63 and 65 (each side of the 16-column vectors and of the
+/// 64-column tile), output channels that are no multiple of the tile's 4
+/// rows, and depths past the AVX2 tile's 256-quad weight chunks.
+const std::vector<Geom>& packed_seam_cases() {
+  static const std::vector<Geom> cases = {
+      {3, 16, 3, 1, 1, 32, 32, 1},  // the ResNet stem: K = 27, P = 1024
+      {1, 5, 3, 1, 1, 1, 1, 2},     // K = 9 (mod 4 = 1), P = 1
+      {2, 7, 3, 1, 1, 2, 2, 1},     // K = 18 (mod 2), P = 4
+      {3, 9, 3, 1, 1, 3, 5, 2},     // K = 27 (mod 3), P = 15
+      {5, 17, 1, 1, 0, 17, 1, 1},   // K = 5 (mod 1), P = 17
+      {7, 6, 1, 1, 0, 7, 9, 1},     // K = 7 (mod 3), P = 63
+      {6, 18, 1, 1, 0, 5, 13, 2},   // K = 6 (mod 2), P = 65
+      {3, 5, 3, 2, 1, 25, 9, 1},    // strided, K = 27, P = 13 * 5 = 65
+      {64, 20, 3, 1, 1, 2, 2, 1},   // K = 576, P = 4, five 4-row tiles
+      {9, 33, 3, 1, 0, 9, 11, 1},   // "valid" 3x3, K = 81, P = 63
+      {130, 6, 3, 1, 1, 3, 3, 1},   // K = 1170 (mod 2): two weight chunks
+      {231, 5, 3, 1, 1, 3, 4, 1},   // K = 2079 (mod 3): three chunks
+  };
+  return cases;
+}
+
+/// Input codes of a case: random, or every code the same extreme.
+enum class Fill { kRandom, kMin, kMax };
+
+std::vector<std::int8_t> filled_codes(std::size_t n, Fill f, Rng& rng) {
+  if (f == Fill::kRandom) return random_codes(n, rng);
+  return std::vector<std::int8_t>(n, f == Fill::kMin ? -128 : 127);
+}
+
 void expect_bitwise_equal(const nn::Tensor& a, const nn::Tensor& b,
                           const std::string& what) {
   ASSERT_EQ(a.shape(), b.shape()) << what;
@@ -104,9 +157,6 @@ void expect_bitwise_equal(const nn::Tensor& a, const nn::Tensor& b,
 
 TEST(TiledConv, MatchesScalarAndDirectAcrossGeometries) {
   Rng rng(11);
-  struct Geom {
-    std::int64_t ci, co, k, stride, pad, h, w, n;
-  };
   std::vector<Geom> cases = {
       {1, 1, 1, 1, 0, 4, 4, 1},   // degenerate 1x1
       {3, 8, 1, 1, 0, 9, 7, 2},   // 1x1 pointwise, odd sizes
@@ -119,6 +169,8 @@ TEST(TiledConv, MatchesScalarAndDirectAcrossGeometries) {
       {2, 2, 7, 1, 3, 12, 10, 2}, // large kernel
       {5, 17, 3, 1, 1, 6, 6, 3},  // co not a multiple of the tile width
   };
+  cases.insert(cases.end(), packed_seam_cases().begin(),
+               packed_seam_cases().end());
   // A few random geometries on top of the crafted ones.
   for (int r = 0; r < 8; ++r) {
     Geom g;
@@ -134,19 +186,8 @@ TEST(TiledConv, MatchesScalarAndDirectAcrossGeometries) {
   }
   QnnScratch scratch;
   for (const Geom& c : cases) {
-    ConvGeom geom;
-    geom.in_channels = c.ci;
-    geom.out_channels = c.co;
-    geom.kernel = c.k;
-    geom.stride = c.stride;
-    geom.padding = c.pad;
-    const std::string what = "ci=" + std::to_string(c.ci) + " co=" +
-                             std::to_string(c.co) + " k=" +
-                             std::to_string(c.k) + " s=" +
-                             std::to_string(c.stride) + " p=" +
-                             std::to_string(c.pad) + " hw=" +
-                             std::to_string(c.h) + "x" + std::to_string(c.w) +
-                             " n=" + std::to_string(c.n);
+    const ConvGeom geom = conv_geom(c);
+    const std::string what = describe(c);
     const auto w = random_codes(
         static_cast<std::size_t>(c.co * c.ci * c.k * c.k), rng);
     std::vector<float> bias;
@@ -168,54 +209,73 @@ TEST(TiledConv, MatchesScalarAndDirectAcrossGeometries) {
 }
 
 TEST(TiledConv, EveryDispatchLevelMatchesScalar) {
-  // The register-tiled GEMM variants (AVX2 / AVX-512) against the scalar
-  // tile, bit for bit, across geometries chosen to hit the vector column
-  // chunks (16 / 32 wide), their scalar column tails, odd-K tails, and
-  // the mt < 4 row edge. Output patch counts per image span 1..~256 so
-  // every chunk/tail seam of both vector widths is crossed.
+  // The register-tiled GEMM variants (AVX2 pmaddwd / AVX-512 VNNI) against
+  // the scalar tile, bit for bit, across geometries chosen to hit the
+  // vector column chunks, the tile's one to four 16-column vectors and
+  // its column and row tails, and the packed layout's K and
+  // P tails; each case also runs with every weight and every activation
+  // at -128 or 127, where the biased u8 x s8 products are largest.
   Rng rng(31);
-  struct Geom {
-    std::int64_t ci, co, k, stride, pad, h, w, n;
-  };
-  const std::vector<Geom> cases = {
+  std::vector<Geom> cases = {
       {1, 1, 1, 1, 0, 1, 1, 1},    // single output column
-      {3, 5, 3, 1, 1, 5, 3, 1},    // tiny odd patch count, mt tail
-      {2, 4, 3, 1, 1, 4, 4, 2},    // p = 32 exactly (one AVX-512 chunk)
-      {2, 4, 3, 1, 1, 4, 4, 3},    // p = 48: chunk + AVX2-only chunk
+      {3, 5, 3, 1, 1, 5, 3, 1},    // tiny odd patch count, row tail
+      {2, 4, 3, 1, 1, 4, 4, 2},    // p = 16 exactly (one vector)
+      {2, 4, 3, 1, 1, 4, 4, 3},    // p = 16, three samples
       {3, 8, 1, 1, 0, 17, 3, 1},   // odd K = 3, p = 51
       {4, 9, 3, 2, 1, 15, 15, 2},  // strided, co % 4 != 0
       {5, 17, 5, 1, 2, 9, 9, 2},   // K = 125 (odd), wide co tail
-      {8, 12, 3, 1, 1, 16, 16, 1}, // p = 256: full tile, even K = 72
+      {8, 12, 3, 1, 1, 16, 16, 1}, // p = 256: four wide blocks, K = 72
   };
+  cases.insert(cases.end(), packed_seam_cases().begin(),
+               packed_seam_cases().end());
   QnnScratch scratch;
   for (const Geom& c : cases) {
-    ConvGeom geom;
-    geom.in_channels = c.ci;
-    geom.out_channels = c.co;
-    geom.kernel = c.k;
-    geom.stride = c.stride;
-    geom.padding = c.pad;
-    const auto w = random_codes(
-        static_cast<std::size_t>(c.co * c.ci * c.k * c.k), rng);
-    std::vector<float> bias;
-    for (std::int64_t i = 0; i < c.co; ++i)
-      bias.push_back(0.1f * static_cast<float>(rng.normal()));
-    const QTensor x = random_qtensor({c.n, c.ci, c.h, c.w}, 0.04f, rng);
-    nn::Tensor want;
-    {
-      cpu::ScopedSimdLevel guard(cpu::SimdLevel::kScalar);
-      conv2d_i8_tiled_into(x, w, 0.02f, geom, bias, scratch, want);
-    }
-    for (int l = 0; l < cpu::kNumSimdLevels; ++l) {
-      const auto lvl = static_cast<cpu::SimdLevel>(l);
-      if (!cpu::level_supported(lvl)) continue;
-      cpu::ScopedSimdLevel guard(lvl);
-      nn::Tensor got;
-      conv2d_i8_tiled_into(x, w, 0.02f, geom, bias, scratch, got);
-      expect_bitwise_equal(want, got,
-                           std::string("level ") + cpu::level_name(lvl));
+    const ConvGeom geom = conv_geom(c);
+    for (const Fill wf : {Fill::kRandom, Fill::kMin, Fill::kMax}) {
+      for (const Fill xf : {Fill::kRandom, Fill::kMin, Fill::kMax}) {
+        if ((wf == Fill::kRandom) != (xf == Fill::kRandom)) continue;
+        const auto w = filled_codes(
+            static_cast<std::size_t>(c.co * c.ci * c.k * c.k), wf, rng);
+        std::vector<float> bias;
+        for (std::int64_t i = 0; i < c.co; ++i)
+          bias.push_back(0.1f * static_cast<float>(rng.normal()));
+        QTensor x = random_qtensor({c.n, c.ci, c.h, c.w}, 0.04f, rng);
+        x.data = filled_codes(x.data.size(), xf, rng);
+        const std::string what =
+            describe(c) + " fill w" + std::to_string(static_cast<int>(wf)) +
+            " x" + std::to_string(static_cast<int>(xf));
+        const nn::Tensor ref = scalar_conv_ref(x, w, 0.02f, geom, bias);
+        nn::Tensor want;
+        {
+          cpu::ScopedSimdLevel guard(cpu::SimdLevel::kScalar);
+          conv2d_i8_tiled_into(x, w, 0.02f, geom, bias, scratch, want);
+        }
+        expect_bitwise_equal(ref, want, what + " scalar tile");
+        for (int l = 0; l < cpu::kNumSimdLevels; ++l) {
+          const auto lvl = static_cast<cpu::SimdLevel>(l);
+          if (!cpu::level_supported(lvl)) continue;
+          cpu::ScopedSimdLevel guard(lvl);
+          nn::Tensor got;
+          conv2d_i8_tiled_into(x, w, 0.02f, geom, bias, scratch, got);
+          expect_bitwise_equal(want, got,
+                               what + " level " + cpu::level_name(lvl));
+        }
+      }
     }
   }
+}
+
+TEST(Int8Gemm, MaxDepthBoundsTheBiasedProducts) {
+  // The packed conv tiles sum u8 x s8 products, |p| <= 255 * 128.
+  constexpr std::int64_t kInt32Max = (std::int64_t{1} << 31) - 1;
+  EXPECT_EQ(nn::kInt8GemmMaxK, 65793);
+  EXPECT_LE(nn::kInt8GemmMaxK * 255 * 128, kInt32Max);
+  EXPECT_GT((nn::kInt8GemmMaxK + 1) * 255 * 128, kInt32Max);
+  const nn::RequantEpilogue epi;
+  EXPECT_THROW(nn::gemm_i8_packed(nullptr, nullptr, nullptr, 0, 1,
+                                  nn::kInt8GemmMaxK + 1, 1,
+                                  nn::kInt8GemmMaxK + 1, 1, epi),
+               InvalidArgument);
 }
 
 TEST(LinearI8, EveryDispatchLevelMatchesScalar) {
@@ -320,8 +380,15 @@ TEST(Engine, BatchedMatchesReferenceBitExactly) {
   EngineRig rig;
   InferenceEngine ref = rig.make(EngineKind::kReference);
   InferenceEngine bat = rig.make(EngineKind::kBatched);
-  expect_bitwise_equal(ref.forward(rig.x), bat.forward(rig.x),
-                       "engine kinds");
+  const nn::Tensor want = ref.forward(rig.x);
+  for (int l = 0; l < cpu::kNumSimdLevels; ++l) {
+    const auto lvl = static_cast<cpu::SimdLevel>(l);
+    if (!cpu::level_supported(lvl)) continue;
+    cpu::ScopedSimdLevel guard(lvl);
+    expect_bitwise_equal(want, bat.forward(rig.x),
+                         std::string("engine kinds, level ") +
+                             cpu::level_name(lvl));
+  }
 }
 
 TEST(Engine, BatchSplitInvariance) {
@@ -353,12 +420,54 @@ TEST(Engine, SeesLiveWeightMutations) {
   EngineRig rig;
   InferenceEngine eng = rig.make(EngineKind::kBatched);
   const nn::Tensor before = eng.forward(rig.x);
-  const std::int8_t old = rig.qm->get_code(0, 0);
-  rig.qm->set_code(0, 0, static_cast<std::int8_t>(old == 127 ? -127 : 127));
-  const nn::Tensor attacked = eng.forward(rig.x);
-  EXPECT_GT(nn::max_abs_diff(before, attacked), 0.0f);
-  rig.qm->set_code(0, 0, old);
-  expect_bitwise_equal(before, eng.forward(rig.x), "restored weights");
+  // The stem's rows are K = 27 long, so the last byte of each sits in the
+  // partial quad the tiles assemble from the row: the first byte, the
+  // last byte of row 0 and the last byte of the layer.
+  const std::int64_t row = 3 * 3 * 3;
+  ASSERT_EQ(rig.qm->layer(0).size() % row, 0);
+  for (const std::int64_t idx :
+       {std::int64_t{0}, row - 1, rig.qm->layer(0).size() - 1}) {
+    const std::int8_t old = rig.qm->get_code(0, idx);
+    rig.qm->set_code(0, idx,
+                     static_cast<std::int8_t>(old == 127 ? -127 : 127));
+    const nn::Tensor attacked = eng.forward(rig.x);
+    EXPECT_GT(nn::max_abs_diff(before, attacked), 0.0f) << "byte " << idx;
+    rig.qm->set_code(0, idx, old);
+    expect_bitwise_equal(before, eng.forward(rig.x),
+                         "restored weights, byte " + std::to_string(idx));
+  }
+}
+
+TEST(Engine, ProgramDeeperThanTheBoundIsRefused) {
+  EngineRig rig;
+  const EngineProgram good = rig.make(EngineKind::kBatched).program();
+  ASSERT_EQ(program_defect(good, *rig.qm), nullptr);
+  // A 1x1 conv one channel past the bound, whose weight layer would fit
+  // it, and a depth the pre-biased bound (2^31 / 16256) still allowed.
+  for (const std::int64_t depth :
+       {nn::kInt8GemmMaxK + 1, std::int64_t{100000}}) {
+    EngineProgram p = good;
+    EngineOp& conv = p.ops.front();
+    conv.geom.in_channels = depth;
+    conv.geom.kernel = 1;
+    conv.geom.padding = 0;
+    p.in_channels = depth;
+    std::vector<std::int64_t> sizes(rig.qm->num_layers());
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+      sizes[i] = rig.qm->layer(i).size();
+    sizes[conv.qlayer] = depth * conv.geom.out_channels;
+    const char* defect = program_defect(p, sizes);
+    ASSERT_NE(defect, nullptr) << depth;
+    EXPECT_STREQ(defect, "conv reduction depth overflows int32 accumulation");
+  }
+  EngineProgram p = good;
+  EngineOp& fc = p.ops.back();
+  fc.in_features = nn::kInt8GemmMaxK + 1;
+  std::vector<std::int64_t> sizes(rig.qm->num_layers());
+  for (std::size_t i = 0; i < sizes.size(); ++i)
+    sizes[i] = rig.qm->layer(i).size();
+  sizes[fc.qlayer] = fc.in_features * fc.out_features;
+  EXPECT_STREQ(program_defect(p, sizes), "linear shape out of range");
 }
 
 TEST(Engine, SteadyStateForwardIsAllocationFree) {
