@@ -42,12 +42,12 @@ int main() {
   for (const LayoutCfg lc : {LayoutCfg{"contiguous", false, 0},
                              LayoutCfg{"interleave, skew 0", true, 0},
                              LayoutCfg{"interleave, skew 3", true, 3}}) {
-    core::RadarConfig rc;
+    core::SchemeParams rc;
     rc.group_size = 32;
     rc.interleave = lc.interleave;
     rc.skew = lc.skew;
     const auto s =
-        exp::summarize_recovery(bundle, know_profiles, rc, 64, 256);
+        exp::summarize_recovery(bundle, know_profiles, rc, 2, 64, 256);
     std::printf("  %-24s %11.2f/%-2.0f %13.2f%%\n", lc.name,
                 s.mean_detected, mean_flips,
                 100.0 * s.mean_acc_recovered);
@@ -59,11 +59,12 @@ int main() {
   bench::rule();
   for (const auto expansion : {core::MaskStream::Expansion::kRepeat,
                                core::MaskStream::Expansion::kPrf}) {
-    core::RadarConfig rc;
+    core::SchemeParams rc;
     rc.group_size = 32;
     rc.expansion = expansion;
     const auto s =
-        exp::summarize_recovery(bundle, know_profiles, rc, 64, /*eval=*/0);
+        exp::summarize_recovery(bundle, know_profiles, rc, 2, 64,
+                                /*eval=*/0);
     std::printf("  %-24s %11.2f/%-2.0f\n",
                 expansion == core::MaskStream::Expansion::kRepeat
                     ? "16-bit key, repeating"
@@ -76,11 +77,11 @@ int main() {
   const auto pbfa_profiles = exp::load_or_run_pbfa(
       bundle, 10, static_cast<int>(experiment_rounds(10, 3)));
   {
-    core::RadarConfig rc;
+    core::SchemeParams rc;
     rc.group_size = 32;
     // Zero-out accuracy from the standard replay path.
     const auto zero =
-        exp::summarize_recovery(bundle, pbfa_profiles, rc, 10, 256);
+        exp::summarize_recovery(bundle, pbfa_profiles, rc, 2, 10, 256);
     std::printf("  %-24s %14s %14s\n", "policy", "accuracy", "time @R18");
     bench::rule();
     sim::TimingSimulator tsim;

@@ -43,11 +43,11 @@ int main() {
       const double kb =
           static_cast<double>(cfg.shape.signature_storage_bytes(g, 2)) /
           1024.0;
-      core::RadarConfig rc;
+      core::SchemeParams rc;
       rc.group_size = bundle.scaled_group(g);
       rc.interleave = true;
       const auto summary =
-          exp::summarize_recovery(bundle, profiles, rc, 10, 256);
+          exp::summarize_recovery(bundle, profiles, rc, 2, 10, 256);
       std::printf("  %-8lld %16.1f %17.2f%%\n", static_cast<long long>(g),
                   kb, 100.0 * summary.mean_acc_recovered);
     }

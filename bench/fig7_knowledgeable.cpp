@@ -36,13 +36,15 @@ int main() {
       mean_flips += static_cast<double>(r.flips.size());
     mean_flips /= static_cast<double>(profiles.size());
 
-    core::RadarConfig rc;
+    core::SchemeParams rc;
     rc.group_size = g;
     rc.interleave = false;
     // Replay all flips (primary + decoys): n_bf large enough to take all.
-    const auto plain = exp::summarize_recovery(bundle, profiles, rc, 64, 256);
+    const auto plain =
+        exp::summarize_recovery(bundle, profiles, rc, 2, 64, 256);
     rc.interleave = true;
-    const auto inter = exp::summarize_recovery(bundle, profiles, rc, 64, 256);
+    const auto inter =
+        exp::summarize_recovery(bundle, profiles, rc, 2, 64, 256);
     std::printf("  %-6lld %8.1f %15.2f/%-2.0f %15.2f/%-2.0f %13.2f%% %13.2f%%\n",
                 static_cast<long long>(g), mean_flips, plain.mean_detected,
                 mean_flips, inter.mean_detected, mean_flips,

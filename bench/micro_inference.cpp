@@ -11,9 +11,9 @@ using namespace radar;
 
 struct Setup {
   Setup() : rng(3), model(nn::ResNetSpec::resnet20(10), rng), qm(model) {
-    core::RadarConfig rc;
+    core::SchemeParams rc;
     rc.group_size = 8;
-    scheme = std::make_unique<core::RadarScheme>(rc);
+    scheme = std::make_unique<core::RadarScheme>(rc, 2);
     scheme->attach(qm);
     x = nn::Tensor::randn({1, 3, 32, 32}, rng);
   }

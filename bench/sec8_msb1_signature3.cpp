@@ -36,9 +36,9 @@ int main() {
   for (const int nbf : {10, 20, 30}) {
     double acc = 0.0;
     for (const auto& r : msb1_profiles) {
-      core::RadarConfig rc;  // replay only; use any config, read attacked
+      core::SchemeParams rc;  // replay only; use any config, read attacked
       rc.group_size = 16;
-      const auto o = exp::replay_and_recover(bundle, r, rc, nbf, 256);
+      const auto o = exp::replay_and_recover(bundle, r, rc, 2, nbf, 256);
       acc += o.accuracy_attacked;
     }
     std::printf("  MSB-1, %2d flips          %9.2f%%\n", nbf,
@@ -53,12 +53,11 @@ int main() {
   std::printf("  %-18s %14s %14s\n", "signature", "detected", "storage x");
   bench::rule();
   for (const int bits : {2, 3}) {
-    core::RadarConfig rc;
+    core::SchemeParams rc;
     rc.group_size = 16;
     rc.interleave = true;
-    rc.signature_bits = bits;
-    const auto s = exp::summarize_recovery(bundle, msb1_profiles, rc, 30,
-                                           /*eval=*/0);
+    const auto s = exp::summarize_recovery(bundle, msb1_profiles, rc, bits,
+                                           30, /*eval=*/0);
     std::printf("  %d-bit %12s %10.2f/30 %13.2f\n", bits, "",
                 s.mean_detected, bits == 2 ? 1.0 : 1.5);
   }

@@ -102,16 +102,6 @@ class HammingBlockCode : public BlockCode {
   codes::HammingSecDed code_;
 };
 
-/// Gather `group` of a layer's codes `q` into `block` (group_size bytes);
-/// padding slots become zero.
-void gather(std::span<const std::int8_t> q, const GroupLayout& layout,
-            std::int64_t group, std::span<std::int8_t> block) {
-  layout.for_each_member(group, [&](std::int64_t slot, std::int64_t i) {
-    block[static_cast<std::size_t>(slot)] =
-        i >= 0 ? q[static_cast<std::size_t>(i)] : std::int8_t{0};
-  });
-}
-
 }  // namespace
 
 BlockCodeFactory crc_block_code(int width) {
@@ -149,20 +139,9 @@ GroupedCodeScheme::GroupedCodeScheme(std::string id,
   RADAR_REQUIRE(make_code_ != nullptr, "null block code factory");
 }
 
-void GroupedCodeScheme::attach(const quant::QuantizedModel& qm, bool sign) {
-  attach_layouts(qm);
+int GroupedCodeScheme::prepare(const quant::QuantizedModel& /*qm*/) {
   code_ = make_code_(params_.group_size);
-  golden_.clear();
-  for (const auto& layout : layouts_)
-    golden_.emplace_back(layout.num_groups(), code_->code_bits());
-  if (sign) resign(qm);
-}
-
-void GroupedCodeScheme::require_attached_to(
-    const quant::QuantizedModel& qm) const {
-  RADAR_REQUIRE(attached(), "scan before attach");
-  RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
-                "scheme not attached to this model");
+  return code_->code_bits();
 }
 
 void GroupedCodeScheme::words_into(const quant::QuantizedModel& qm,
@@ -206,69 +185,19 @@ void GroupedCodeScheme::words_into(const quant::QuantizedModel& qm,
   code_->finish(scratch.state);
 }
 
-void GroupedCodeScheme::scan_layer_groups(const quant::QuantizedModel& qm,
-                                          std::size_t layer,
-                                          std::span<const std::int64_t> groups,
-                                          std::vector<std::int64_t>& flagged,
-                                          ScanScratch& scratch) const {
-  require_attached_to(qm);
-  const GroupLayout& layout = layouts_.at(layer);
-  const PackedWordStore& golden = golden_[layer];
+std::uint32_t GroupedCodeScheme::group_word(const quant::QuantizedModel& qm,
+                                            std::size_t layer,
+                                            std::int64_t group,
+                                            ScanScratch& scratch) const {
+  // Gather the group into a group_size block; padding slots become zero.
   const std::span<const std::int8_t> q = qm.layer(layer).q;
-  scratch.block.resize(static_cast<std::size_t>(layout.group_size()));
-  flagged.clear();
-  for (const std::int64_t g : groups) {
-    gather(q, layout, g, scratch.block);
-    if (code_->compute(scratch.block) != golden.get(g)) flagged.push_back(g);
-  }
-}
-
-void GroupedCodeScheme::scan_layer_range_into(
-    const quant::QuantizedModel& qm, std::size_t layer,
-    std::int64_t group_begin, std::int64_t group_end,
-    std::vector<std::int64_t>& flagged, ScanScratch& scratch) const {
-  require_attached_to(qm);
-  RADAR_REQUIRE(layer < layouts_.size() && group_begin >= 0 &&
-                    group_begin <= group_end &&
-                    group_end <= layouts_[layer].num_groups(),
-                "group range out of bounds");
-  words_into(qm, layer, group_begin, group_end, scratch);
-  flagged.clear();
-  golden_[layer].append_mismatches(group_begin, scratch.state, flagged);
-}
-
-void GroupedCodeScheme::resign_layer(const quant::QuantizedModel& qm,
-                                     std::size_t layer) {
-  RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
-                "scheme not attached to this model");
-  RADAR_REQUIRE(layer < layouts_.size(), "layer out of range");
-  ScanScratch scratch;
-  words_into(qm, layer, 0, layouts_[layer].num_groups(), scratch);
-  for (std::size_t grp = 0; grp < scratch.state.size(); ++grp)
-    golden_[layer].set(static_cast<std::int64_t>(grp), scratch.state[grp]);
-}
-
-std::int64_t GroupedCodeScheme::signature_storage_bytes() const {
-  std::int64_t bytes = 0;
-  for (const auto& store : golden_) bytes += store.storage_bytes();
-  return bytes;
-}
-
-std::vector<std::vector<std::uint8_t>> GroupedCodeScheme::export_golden()
-    const {
-  std::vector<std::vector<std::uint8_t>> out;
-  out.reserve(golden_.size());
-  for (const auto& store : golden_) out.push_back(store.packed());
-  return out;
-}
-
-void GroupedCodeScheme::import_golden(
-    std::vector<std::vector<std::uint8_t>> packed) {
-  RADAR_REQUIRE(attached(), "import_golden before attach");
-  RADAR_REQUIRE(packed.size() == golden_.size(),
-                "golden layer count mismatch");
-  for (std::size_t li = 0; li < golden_.size(); ++li)
-    golden_[li].set_packed(std::move(packed[li]));
+  scratch.block.resize(static_cast<std::size_t>(params_.group_size));
+  layouts_[layer].for_each_member(
+      group, [&](std::int64_t slot, std::int64_t i) {
+        scratch.block[static_cast<std::size_t>(slot)] =
+            i >= 0 ? q[static_cast<std::size_t>(i)] : std::int8_t{0};
+      });
+  return code_->compute(scratch.block);
 }
 
 }  // namespace radar::core

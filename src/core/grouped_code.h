@@ -3,30 +3,27 @@
 //
 // The adapter reuses the same GroupLayout plumbing as RadarScheme (so a
 // CRC baseline can be interleaved and skewed exactly like the paper's
-// groups) but stores one `width`-bit code word per group instead of a
+// groups) but its group word is a `width`-bit check word instead of a
 // 2/3-bit signature: CRC-7/10/13/16 (Koopman & Chakravarty, DSN'04),
 // Fletcher-16, and Hamming SEC-DED check words. A group's word is its
 // code over a fixed group_size-byte block in slot order, padding slots
 // reading as zero (mirroring the checksum's treatment of padding), so
 // every group of a layer — the tail group included — uses the same code
-// instance.
+// instance, which prepare() builds.
 //
-// Range scans (a full scan is the range of every group) and re-sign
-// passes never gather a group. A code word is a left fold of one 32-bit
-// state per group over the group's slots, so an interleaved layer is
-// folded by the shared row loop (core/row_pass.h), the same one
-// radar's masked sums run on: eight rows per pass go to BlockCode::fold,
-// each row's window of groups read in place or staged into ScanScratch
-// when it wraps or reaches padding, and the states, also kept in
-// ScanScratch, are a CRC register (one slicing-by-8 step per pass), a
-// Hamming syndrome + parity, or the two Fletcher sums. No code keeps a
-// table that grows with group_size. A contiguous group is a run of bytes
-// and is coded in place; compute() reads a short tail group's missing
-// slots as padding. Either way the range's words end up in
-// ScanScratch::state, and a range scan is one bulk golden compare of that
-// buffer (PackedWordStore::append_mismatches). Dirty rescans of a few
-// groups (scan_layer_groups) gather each group through
-// GroupLayout::for_each_member and call BlockCode::compute, as radar's
+// The dense kernel (words_into, behind every range scan and re-sign pass)
+// never gathers a group. A code word is a left fold of one 32-bit state
+// per group over the group's slots, so an interleaved layer is folded by
+// the shared row loop (core/row_pass.h), the same one radar's masked sums
+// run on: eight rows per pass go to BlockCode::fold, each row's window of
+// groups read in place or staged into ScanScratch when it wraps or
+// reaches padding, and the states, also kept in ScanScratch, are a CRC
+// register (one slicing-by-8 step per pass), a Hamming syndrome + parity,
+// or the two Fletcher sums. No code keeps a table that grows with
+// group_size. A contiguous group is a run of bytes and is coded in place;
+// compute() reads a short tail group's missing slots as padding. The
+// narrow rescan kernel (group_word) gathers one group through
+// GroupLayout::for_each_member and calls BlockCode::compute, as radar's
 // rescans walk the same members.
 #pragma once
 
@@ -36,7 +33,6 @@
 #include <span>
 
 #include "core/integrity_scheme.h"
-#include "core/signature_store.h"
 
 namespace radar::core {
 
@@ -82,34 +78,18 @@ class GroupedCodeScheme : public IntegrityScheme {
 
   const BlockCode& code() const { return *code_; }
 
-  void attach(const quant::QuantizedModel& qm, bool sign = true) override;
-  void scan_layer_groups(const quant::QuantizedModel& qm, std::size_t layer,
-                         std::span<const std::int64_t> groups,
-                         std::vector<std::int64_t>& flagged,
-                         ScanScratch& scratch) const override;
-  void scan_layer_range_into(const quant::QuantizedModel& qm,
-                             std::size_t layer, std::int64_t group_begin,
-                             std::int64_t group_end,
-                             std::vector<std::int64_t>& flagged,
-                             ScanScratch& scratch) const override;
-  void resign_layer(const quant::QuantizedModel& qm,
-                    std::size_t layer) override;
-  std::int64_t signature_storage_bytes() const override;
-  std::vector<std::vector<std::uint8_t>> export_golden() const override;
-  void import_golden(std::vector<std::vector<std::uint8_t>> packed) override;
-
- private:
-  void require_attached_to(const quant::QuantizedModel& qm) const;
-  /// Computes the check words of groups [group_begin, group_end) of one
-  /// layer in a single streaming pass into scratch.state[0 .. end - begin),
-  /// the buffer the bulk golden compare and re-signing read.
+ protected:
+  int prepare(const quant::QuantizedModel& qm) override;
   void words_into(const quant::QuantizedModel& qm, std::size_t layer,
                   std::int64_t group_begin, std::int64_t group_end,
-                  ScanScratch& scratch) const;
+                  ScanScratch& scratch) const override;
+  std::uint32_t group_word(const quant::QuantizedModel& qm,
+                           std::size_t layer, std::int64_t group,
+                           ScanScratch& scratch) const override;
 
+ private:
   BlockCodeFactory make_code_;
-  std::unique_ptr<BlockCode> code_;  ///< built on attach
-  std::vector<PackedWordStore> golden_;
+  std::unique_ptr<BlockCode> code_;  ///< built by prepare
 };
 
 }  // namespace radar::core

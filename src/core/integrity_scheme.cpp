@@ -16,7 +16,7 @@ IntegrityScheme::IntegrityScheme(std::string id, const SchemeParams& params)
   RADAR_REQUIRE(params.group_size > 0, "group size must be positive");
 }
 
-void IntegrityScheme::attach_layouts(const quant::QuantizedModel& qm) {
+void IntegrityScheme::attach(const quant::QuantizedModel& qm, bool sign) {
   layouts_.clear();
   clean_offsets_.clear();
   for (std::size_t li = 0; li < qm.num_layers(); ++li) {
@@ -36,10 +36,23 @@ void IntegrityScheme::attach_layouts(const quant::QuantizedModel& qm) {
     defer_clean_capture_ = false;
     clean_copy_ = {};
     clean_bytes_ = {};
-    return;
+  } else {
+    clean_copy_.capture(qm.arena());
+    clean_bytes_ = clean_copy_.bytes();
   }
-  clean_copy_.capture(qm.arena());
-  clean_bytes_ = clean_copy_.bytes();
+  const int width = prepare(qm);
+  golden_.clear();
+  for (const GroupLayout& layout : layouts_)
+    golden_.emplace_back(layout.num_groups(), width);
+  if (sign) resign(qm);
+}
+
+void IntegrityScheme::require_layer(const quant::QuantizedModel& qm,
+                                    std::size_t layer) const {
+  RADAR_REQUIRE(attached(), "scan before attach");
+  RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
+                "scheme not attached to this model");
+  RADAR_REQUIRE(layer < layouts_.size(), "layer out of range");
 }
 
 void IntegrityScheme::set_clean_source(std::shared_ptr<const void> holder,
@@ -70,6 +83,32 @@ DetectionReport IntegrityScheme::scan(const quant::QuantizedModel& qm) const {
   for (std::size_t li = 0; li < qm.num_layers(); ++li)
     scan_layer_into(qm, li, report.flagged[li], scratch);
   return report;
+}
+
+void IntegrityScheme::scan_layer_range_into(
+    const quant::QuantizedModel& qm, std::size_t layer,
+    std::int64_t group_begin, std::int64_t group_end,
+    std::vector<std::int64_t>& flagged, ScanScratch& scratch) const {
+  require_layer(qm, layer);
+  RADAR_REQUIRE(group_begin >= 0 && group_begin <= group_end &&
+                    group_end <= layouts_[layer].num_groups(),
+                "group range out of bounds");
+  words_into(qm, layer, group_begin, group_end, scratch);
+  flagged.clear();
+  golden_[layer].append_mismatches(group_begin, scratch.state, flagged);
+}
+
+void IntegrityScheme::scan_layer_groups(const quant::QuantizedModel& qm,
+                                        std::size_t layer,
+                                        std::span<const std::int64_t> groups,
+                                        std::vector<std::int64_t>& flagged,
+                                        ScanScratch& scratch) const {
+  require_layer(qm, layer);
+  const PackedWordStore& golden = golden_[layer];
+  flagged.clear();
+  for (const std::int64_t g : groups)
+    if (group_word(qm, layer, g, scratch) != golden.get(g))
+      flagged.push_back(g);
 }
 
 void IntegrityScheme::recover(quant::QuantizedModel& qm,
@@ -110,10 +149,41 @@ void IntegrityScheme::resign(const quant::QuantizedModel& qm) {
   for (std::size_t li = 0; li < qm.num_layers(); ++li) resign_layer(qm, li);
 }
 
+void IntegrityScheme::resign_layer(const quant::QuantizedModel& qm,
+                                   std::size_t layer) {
+  require_layer(qm, layer);
+  ScanScratch scratch;
+  words_into(qm, layer, 0, layouts_[layer].num_groups(), scratch);
+  for (std::size_t g = 0; g < scratch.state.size(); ++g)
+    golden_[layer].set(static_cast<std::int64_t>(g), scratch.state[g]);
+}
+
+std::int64_t IntegrityScheme::signature_storage_bytes() const {
+  std::int64_t bytes = 0;
+  for (const auto& store : golden_) bytes += store.storage_bytes();
+  return bytes;
+}
+
 std::int64_t IntegrityScheme::total_groups() const {
   std::int64_t n = 0;
   for (const auto& l : layouts_) n += l.num_groups();
   return n;
+}
+
+std::vector<std::vector<std::uint8_t>> IntegrityScheme::export_golden() const {
+  std::vector<std::vector<std::uint8_t>> out;
+  out.reserve(golden_.size());
+  for (const auto& store : golden_) out.push_back(store.packed());
+  return out;
+}
+
+void IntegrityScheme::import_golden(
+    std::vector<std::vector<std::uint8_t>> packed) {
+  RADAR_REQUIRE(attached(), "import_golden before attach");
+  RADAR_REQUIRE(packed.size() == golden_.size(),
+                "golden layer count mismatch");
+  for (std::size_t li = 0; li < golden_.size(); ++li)
+    golden_[li].set_packed(std::move(packed[li]));
 }
 
 std::int64_t count_detected_flips(

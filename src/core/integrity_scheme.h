@@ -2,21 +2,23 @@
 //
 // Every weight-integrity code in this repo — the paper's 2/3-bit RADAR
 // group signatures as well as the CRC / Fletcher / Hamming baselines it is
-// compared against (Table V) — plugs into the run-time path through this
-// class: attach to a quantized model, scan (whole model or one layer),
-// recover flagged groups, re-sign after authorized updates, and round-trip
-// the golden codes through a deployment package. The class owns what
-// every grouped code shares: per-layer GroupLayouts, the clean snapshot
-// backing kReloadClean recovery, and the layer loops of scan / recover /
-// resign. A concrete scheme implements seven virtuals: attach, the dense
-// range scan, the sparse dirty-group scan, per-layer re-signing, storage
-// accounting and golden export / import. Every dense scan — one layer,
-// the serial whole model, a ScanScheduler chunk — is a call of the range
-// scan, so whole-layer scans and chunked sweeps run the same code. Each
-// scheme's range scan computes the range's code words into
-// ScanScratch::state and ends in one bulk golden compare
-// (PackedWordStore::append_mismatches), which yields the flagged ids in
-// ascending order.
+// compared against (Table V) — keeps one short code word per weight group
+// in secure memory and, at run time, recomputes and compares it. So this
+// class owns everything but the word itself: per-layer GroupLayouts, the
+// golden words (one PackedWordStore per layer), the clean snapshot backing
+// kReloadClean recovery, and the one scan, narrow rescan, re-sign, recover
+// and golden export / import path. A concrete scheme is its word kernel,
+// three protected hooks:
+//   prepare     builds the per-layer kernel state for the layouts attach
+//               just built and returns the stored word width;
+//   words_into  the dense kernel: the words of a contiguous group range
+//               of one layer into ScanScratch::state;
+//   group_word  the word of one group, for narrow (dirty) rescans.
+// Every dense scan — one layer, the serial whole model, a ScanScheduler
+// chunk — is scan_layer_range_into: words_into, then one bulk golden
+// compare (PackedWordStore::append_mismatches) that yields the flagged ids
+// in ascending order. Re-signing stores the same words_into output, so a
+// clean model always scans clean.
 // Concrete schemes are created by name through SchemeRegistry;
 // whole-model scans in the run-time path go through ScanScheduler.
 #pragma once
@@ -30,6 +32,7 @@
 #include "core/interleave.h"
 #include "core/mask.h"
 #include "core/scan_scratch.h"
+#include "core/signature_store.h"
 #include "quant/qmodel.h"
 
 namespace radar::core {
@@ -96,7 +99,7 @@ class IntegrityScheme {
   /// weights for the kReloadClean recovery policy. Pass `sign = false`
   /// when the golden codes will be replaced via import_golden() anyway
   /// (package loads), skipping one full code computation.
-  virtual void attach(const quant::QuantizedModel& qm, bool sign = true) = 0;
+  void attach(const quant::QuantizedModel& qm, bool sign = true);
   bool attached() const { return !layouts_.empty(); }
   std::size_t num_layers() const { return layouts_.size(); }
   const GroupLayout& layout(std::size_t layer) const {
@@ -126,23 +129,21 @@ class IntegrityScheme {
   /// every group outside `groups` is known to still hold the weights the
   /// golden codes were computed from, the result equals scan_layer bit for
   /// bit at O(|groups| * G) cost — the incremental-scan primitive.
-  virtual void scan_layer_groups(const quant::QuantizedModel& qm,
-                                 std::size_t layer,
-                                 std::span<const std::int64_t> groups,
-                                 std::vector<std::int64_t>& flagged,
-                                 ScanScratch& scratch) const = 0;
+  void scan_layer_groups(const quant::QuantizedModel& qm, std::size_t layer,
+                         std::span<const std::int64_t> groups,
+                         std::vector<std::int64_t>& flagged,
+                         ScanScratch& scratch) const;
 
   /// Range scan: recompute only groups [group_begin, group_end) of one
   /// layer, filling `flagged` (cleared first) with the mismatching ids in
   /// that range, at cost proportional to the bytes the range covers. The
   /// one dense scan primitive: whole-layer and whole-model scans are this
   /// call over [0, num_groups), and ScanScheduler chunks are slices of it.
-  virtual void scan_layer_range_into(const quant::QuantizedModel& qm,
-                                     std::size_t layer,
-                                     std::int64_t group_begin,
-                                     std::int64_t group_end,
-                                     std::vector<std::int64_t>& flagged,
-                                     ScanScratch& scratch) const = 0;
+  void scan_layer_range_into(const quant::QuantizedModel& qm,
+                             std::size_t layer, std::int64_t group_begin,
+                             std::int64_t group_end,
+                             std::vector<std::int64_t>& flagged,
+                             ScanScratch& scratch) const;
 
   /// Apply recovery to every flagged group.
   void recover(quant::QuantizedModel& qm, const DetectionReport& report,
@@ -151,21 +152,19 @@ class IntegrityScheme {
   /// Recompute golden codes (after an authorized weight update).
   void resign(const quant::QuantizedModel& qm);
   /// Recompute golden codes of a single layer only.
-  virtual void resign_layer(const quant::QuantizedModel& qm,
-                            std::size_t layer) = 0;
+  void resign_layer(const quant::QuantizedModel& qm, std::size_t layer);
 
   /// Total golden-code bytes across layers (paper Fig. 6 x-axis).
-  virtual std::int64_t signature_storage_bytes() const = 0;
+  std::int64_t signature_storage_bytes() const;
   /// Codes recomputed in one scan (equals total group count).
   std::int64_t total_groups() const;
 
   /// Export the packed golden codes (deployment artifact payload).
-  virtual std::vector<std::vector<std::uint8_t>> export_golden() const = 0;
+  std::vector<std::vector<std::uint8_t>> export_golden() const;
   /// Replace the golden codes with previously exported ones (e.g. loaded
   /// from a signed package). A subsequent scan then reveals any weight
   /// tampering that happened since the export.
-  virtual void import_golden(
-      std::vector<std::vector<std::uint8_t>> packed) = 0;
+  void import_golden(std::vector<std::vector<std::uint8_t>> packed);
 
   /// Replace the clean weight copy backing kReloadClean recovery with an
   /// external arena blob — typically a read-only mmap of a deployment
@@ -199,9 +198,35 @@ class IntegrityScheme {
  protected:
   IntegrityScheme(std::string id, const SchemeParams& params);
 
-  /// Rebuild layouts_ for every layer of `qm` and capture the clean
-  /// weight copy (one arena memcpy).
-  void attach_layouts(const quant::QuantizedModel& qm);
+  /// Build the scheme's per-layer kernel state for layouts_ (just rebuilt
+  /// for `qm` by attach) and return the stored word width in bits.
+  virtual int prepare(const quant::QuantizedModel& qm) = 0;
+  /// The dense kernel: the words of groups [group_begin, group_end) of one
+  /// layer, written to scratch.state[0 .. group_end - group_begin). The
+  /// range is already checked against the layout.
+  virtual void words_into(const quant::QuantizedModel& qm, std::size_t layer,
+                          std::int64_t group_begin, std::int64_t group_end,
+                          ScanScratch& scratch) const = 0;
+  /// The word of one group, equal to its words_into word — the narrow
+  /// rescan kernel, O(group_size).
+  virtual std::uint32_t group_word(const quant::QuantizedModel& qm,
+                                   std::size_t layer, std::int64_t group,
+                                   ScanScratch& scratch) const = 0;
+
+  std::string id_;
+  SchemeParams params_;
+  std::vector<GroupLayout> layouts_;
+
+ private:
+  std::vector<PackedWordStore> golden_;  ///< golden words, one per layer
+  /// Per-layer (byte offset, size) into clean_bytes_ — the attached
+  /// model's arena geometry.
+  std::vector<std::pair<std::int64_t, std::int64_t>> clean_offsets_;
+  std::int64_t clean_size_bytes_ = 0;
+  quant::ArenaSnapshot clean_copy_;           ///< owned (attach path)
+  std::shared_ptr<const void> clean_holder_;  ///< external lifetime (mmap)
+  std::span<const std::int8_t> clean_bytes_;  ///< active whole-arena view
+  bool defer_clean_capture_ = false;          ///< one-shot attach hint
 
   /// Clean codes of layer `layer` (owned snapshot or external source).
   std::span<const std::int8_t> clean_span(std::size_t layer) const {
@@ -213,17 +238,10 @@ class IntegrityScheme {
         static_cast<std::size_t>(clean_offsets_.at(layer).second));
   }
 
-  std::string id_;
-  SchemeParams params_;
-  std::vector<GroupLayout> layouts_;
-  /// Per-layer (byte offset, size) into clean_bytes_ — the attached
-  /// model's arena geometry.
-  std::vector<std::pair<std::int64_t, std::int64_t>> clean_offsets_;
-  std::int64_t clean_size_bytes_ = 0;
-  quant::ArenaSnapshot clean_copy_;           ///< owned (attach path)
-  std::shared_ptr<const void> clean_holder_;  ///< external lifetime (mmap)
-  std::span<const std::int8_t> clean_bytes_;  ///< active whole-arena view
-  bool defer_clean_capture_ = false;          ///< one-shot attach hint
+  /// Require that the scheme is attached to a model shaped like `qm` and
+  /// that `layer` is one of its layers.
+  void require_layer(const quant::QuantizedModel& qm,
+                     std::size_t layer) const;
 };
 
 /// Number of attack flips that land in groups flagged by `report` — the

@@ -62,14 +62,9 @@ std::int64_t ScanScheduler::coverage_age_ns() const {
       .count();
 }
 
-void ScanScheduler::scan_range_guarded(const quant::QuantizedModel& qm,
-                                       std::size_t layer,
-                                       std::int64_t begin,
-                                       std::int64_t end) {
-  const auto scan = [&] {
-    scheme_->scan_layer_range_into(qm, layer, begin, end, chunk_flags_,
-                                   scratch_[0]);
-  };
+template <class Scan>
+void ScanScheduler::scan_guarded(const quant::QuantizedModel& qm,
+                                 std::size_t layer, const Scan& scan) {
   quant::EpochGuard* guard = qm.epoch_guard();
   if (guard == nullptr) {
     scan();
@@ -211,10 +206,14 @@ ScanScheduler::Slice ScanScheduler::run_slice(const quant::QuantizedModel& qm,
   // Flags are reported via slice_flags_ only — never merged into the
   // sweep report, which must stay bit-identical to a serial scan.
   while (!dirty_queue_.empty() && (out.dirty_groups == 0 || budget_left())) {
-    const auto [layer, group] = dirty_queue_.front();
+    const std::size_t layer = dirty_queue_.front().first;
+    const std::int64_t group = dirty_queue_.front().second;
     dirty_queue_.pop_front();
     dirty_set_.erase({layer, group});
-    scan_range_guarded(qm, layer, group, group + 1);
+    scan_guarded(qm, layer, [&] {
+      scheme_->scan_layer_groups(qm, layer, {&group, 1}, chunk_flags_,
+                                 scratch_[0]);
+    });
     for (std::int64_t g : chunk_flags_) slice_flags_.emplace_back(layer, g);
     const GroupLayout& layout = scheme_->layout(layer);
     out.bytes += std::max<std::int64_t>(
@@ -245,7 +244,10 @@ ScanScheduler::Slice ScanScheduler::run_slice(const quant::QuantizedModel& qm,
     while (out.dirty_groups + out.chunks == 0 || budget_left()) {
       start_sweep();
       const Chunk& ch = plan_[cursor_];
-      scan_range_guarded(qm, ch.layer, ch.begin, ch.end);
+      scan_guarded(qm, ch.layer, [&] {
+        scheme_->scan_layer_range_into(qm, ch.layer, ch.begin, ch.end,
+                                       chunk_flags_, scratch_[0]);
+      });
       if (finish_chunk(ch, chunk_flags_, out)) break;
     }
   }

@@ -5,7 +5,8 @@
 // scheme into chunks of ~chunk_bytes of weights: contiguous ascending
 // group ranges of one layer, each scanned by the scheme's one dense
 // primitive, scan_layer_range_into. run_slice() drains the plan — queued
-// dirty groups first (fed by recovery writes), then round-robin chunks —
+// dirty groups first (fed by recovery writes, each rescanned by the
+// narrow primitive, scan_layer_groups), then round-robin chunks —
 // in *slices* bounded by a budget (X µs or Y bytes per slice), resumable
 // mid-layer. A caller interleaves slices with inference batches; the
 // budget is the dial between detection latency and throughput, and the
@@ -188,11 +189,11 @@ class ScanScheduler {
 
   using Clock = std::chrono::steady_clock;
 
-  /// Scan groups [begin, end) of `layer` under the epoch protocol
-  /// (plain when the arena has no guard). Flags land in chunk_flags_.
-  void scan_range_guarded(const quant::QuantizedModel& qm,
-                          std::size_t layer, std::int64_t begin,
-                          std::int64_t end);
+  /// Run `scan`, a scan of `layer` that writes chunk_flags_, under the
+  /// epoch protocol (plain when the arena has no guard).
+  template <class Scan>
+  void scan_guarded(const quant::QuantizedModel& qm, std::size_t layer,
+                    const Scan& scan);
   /// Scan chunks [first, last) into chunk_slots_, one kernel call per
   /// layer piece (flags in the piece's first slot, the rest cleared).
   void scan_run(const quant::QuantizedModel& qm, std::size_t first,

@@ -21,7 +21,9 @@
 // compare instead of a binarize + get per group. The *_into entry points
 // write into caller-provided ScanScratch, so the steady-state scan loop
 // performs zero allocations. All paths are bit-identical to the reference
-// primitives (tested).
+// primitives (tested). RadarScheme's two word hooks are
+// signature_words_range_into (words_into) and group_signature_at
+// (group_word).
 #pragma once
 
 #include <cstdint>
@@ -61,8 +63,9 @@ class LayerScanner {
   /// scratch.state[0 .. group_end - group_begin): the range's masked sums
   /// turned into Signature bits in one branch-free loop,
   /// (m >> (9 - sig_bits)) & (2^sig_bits - 1), which is binarize's bit
-  /// layout by construction. The words feed the store's bulk golden
-  /// compare (SignatureStore::append_mismatches) and re-signing.
+  /// layout by construction. They are RadarScheme's words_into: the
+  /// golden store's bulk compare (PackedWordStore::append_mismatches) and
+  /// re-signing read them.
   void signature_words_range_into(std::span<const std::int8_t> weights,
                                   std::int64_t group_begin,
                                   std::int64_t group_end,

@@ -66,15 +66,4 @@ void PackedWordStore::set_packed(std::vector<std::uint8_t> bytes) {
   bits_ = std::move(bytes);
 }
 
-SignatureStore::SignatureStore(std::int64_t num_groups, int width) {
-  RADAR_REQUIRE(width == 2 || width == 3, "signature width must be 2 or 3");
-  words_ = PackedWordStore(num_groups, width);
-}
-
-void SignatureStore::set(std::int64_t group, Signature s) {
-  RADAR_REQUIRE(s.width == width(), "signature width mismatch");
-  // Only the low `width` bits of a signature are stored.
-  words_.set(group, s.bits & ((1u << s.width) - 1u));
-}
-
 }  // namespace radar::core

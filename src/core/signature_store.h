@@ -4,10 +4,11 @@
 // word occupies stream bits [g*width, (g+1)*width), LSB first, where
 // stream bit p is bit p % 8 of byte p / 8. A word of at most 32 bits
 // spans at most 5 bytes, so get/set load or modify those bytes with one
-// shift and mask instead of walking bits. PackedWordStore holds the
-// baseline codes' check words (1..32 bits); SignatureStore holds RADAR's
-// 2/3-bit signatures on top of it. storage_bytes() is exactly the number
-// the paper's Fig. 6 x-axis reports (5.6 KB for ResNet-18 at G = 512).
+// shift and mask instead of walking bits. IntegrityScheme keeps one
+// PackedWordStore per layer for every scheme: RADAR's 2/3-bit signatures
+// and the baseline codes' check words (up to 32 bits) alike.
+// storage_bytes() is exactly the number the paper's Fig. 6 x-axis
+// reports (5.6 KB for ResNet-18 at G = 512).
 //
 // A dense scan ends in one bulk golden compare, append_mismatches: the
 // scheme computes the words of a contiguous run of groups into a buffer,
@@ -22,13 +23,13 @@
 #include <utility>
 #include <vector>
 
-#include "core/checksum.h"
+#include "common/error.h"
 
 namespace radar::core {
 
-/// Bit-packed storage of one fixed-width code word per group, for the
-/// wider baseline codes (CRC-7..CRC-16, Fletcher, Hamming SEC-DED check
-/// words) and, through SignatureStore, RADAR's signatures.
+/// Bit-packed storage of one fixed-width code word per group: RADAR's
+/// signatures and the baseline codes' check words (CRC-7..CRC-16,
+/// Fletcher, Hamming SEC-DED).
 class PackedWordStore {
  public:
   PackedWordStore() = default;
@@ -81,48 +82,6 @@ class PackedWordStore {
   std::int64_t num_groups_ = 0;
   int width_ = 0;
   std::vector<std::uint8_t> bits_;
-};
-
-/// 2- or 3-bit RADAR signatures, one per group.
-class SignatureStore {
- public:
-  SignatureStore() = default;
-  SignatureStore(std::int64_t num_groups, int width);
-
-  std::int64_t num_groups() const { return words_.num_groups(); }
-  int width() const { return words_.width(); }
-
-  void set(std::int64_t group, Signature s);
-  Signature get(std::int64_t group) const {
-    return Signature{static_cast<std::uint8_t>(words_.get(group)), width()};
-  }
-  /// PackedWordStore::append_mismatches over signature words (Signature
-  /// bits, as LayerScanner::signature_words_range_into computes them).
-  void append_mismatches(std::int64_t first,
-                         std::span<const std::uint32_t> words,
-                         std::vector<std::int64_t>& mismatches) const {
-    words_.append_mismatches(first, words, mismatches);
-  }
-
-  /// Bytes needed to hold all signatures (bit-packed, rounded up).
-  std::int64_t storage_bytes() const { return words_.storage_bytes(); }
-
-  /// Packed signature bytes (for serialization).
-  const std::vector<std::uint8_t>& packed() const { return words_.packed(); }
-  /// Replace the packed bytes (must match storage_bytes()).
-  void set_packed(std::vector<std::uint8_t> bytes) {
-    words_.set_packed(std::move(bytes));
-  }
-
-  /// Storage for an arbitrary configuration without building a store.
-  static std::int64_t storage_bytes_for(std::int64_t num_weights,
-                                        std::int64_t group_size, int width) {
-    const std::int64_t groups = (num_weights + group_size - 1) / group_size;
-    return (groups * width + 7) / 8;
-  }
-
- private:
-  PackedWordStore words_{0, 2};
 };
 
 }  // namespace radar::core

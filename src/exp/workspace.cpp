@@ -281,14 +281,15 @@ std::vector<attack::AttackResult> load_or_run_restricted_pbfa(
 
 RecoveryOutcome replay_and_recover(ModelBundle& bundle,
                                    const attack::AttackResult& round,
-                                   const core::RadarConfig& cfg, int n_bf,
+                                   const core::SchemeParams& params,
+                                   int signature_bits, int n_bf,
                                    std::int64_t eval_subset,
                                    bool measure_attacked) {
   RADAR_REQUIRE(n_bf >= 0, "negative flip count");
   if (eval_subset > 0) ensure_engine(bundle);  // calibrate on clean weights
   const quant::ArenaSnapshot clean = bundle.qmodel->snapshot();
 
-  core::RadarScheme scheme(cfg);
+  core::RadarScheme scheme(params, signature_bits);
   scheme.attach(*bundle.qmodel);
 
   // Replay the first n_bf recorded flips (greedy PBFA prefix).
@@ -322,11 +323,13 @@ RecoveryOutcome replay_and_recover(ModelBundle& bundle,
 
 RecoverySummary summarize_recovery(
     ModelBundle& bundle, const std::vector<attack::AttackResult>& rounds,
-    const core::RadarConfig& cfg, int n_bf, std::int64_t eval_subset) {
+    const core::SchemeParams& params, int signature_bits, int n_bf,
+    std::int64_t eval_subset) {
   RecoverySummary s;
   for (const auto& round : rounds) {
     const RecoveryOutcome o =
-        replay_and_recover(bundle, round, cfg, n_bf, eval_subset);
+        replay_and_recover(bundle, round, params, signature_bits, n_bf,
+                           eval_subset);
     s.mean_detected += static_cast<double>(o.flips_detected);
     s.mean_acc_attacked += o.accuracy_attacked;
     s.mean_acc_recovered += o.accuracy_recovered;

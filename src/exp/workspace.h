@@ -136,11 +136,13 @@ struct RecoveryOutcome {
 };
 
 /// Replay `round` (optionally only its first `n_bf` flips — greedy PBFA
-/// is prefix-consistent) against a fresh model protected by `cfg`;
-/// measures detection and recovery. Restores the clean model afterwards.
+/// is prefix-consistent) against a fresh model protected by a RADAR
+/// scheme with `params` and `signature_bits`; measures detection and
+/// recovery. Restores the clean model afterwards.
 RecoveryOutcome replay_and_recover(ModelBundle& bundle,
                                    const attack::AttackResult& round,
-                                   const core::RadarConfig& cfg, int n_bf,
+                                   const core::SchemeParams& params,
+                                   int signature_bits, int n_bf,
                                    std::int64_t eval_subset,
                                    bool measure_attacked = true);
 
@@ -152,9 +154,9 @@ struct RecoverySummary {
   int rounds = 0;
 };
 
-RecoverySummary summarize_recovery(ModelBundle& bundle,
-                                   const std::vector<attack::AttackResult>& rounds,
-                                   const core::RadarConfig& cfg, int n_bf,
-                                   std::int64_t eval_subset);
+RecoverySummary summarize_recovery(
+    ModelBundle& bundle, const std::vector<attack::AttackResult>& rounds,
+    const core::SchemeParams& params, int signature_bits, int n_bf,
+    std::int64_t eval_subset);
 
 }  // namespace radar::exp

@@ -27,11 +27,10 @@ class DetectionSweep
 
   RadarScheme make_scheme() {
     auto [g, inter, bits] = GetParam();
-    RadarConfig cfg;
-    cfg.group_size = g;
-    cfg.interleave = inter;
-    cfg.signature_bits = bits;
-    RadarScheme scheme(cfg);
+    SchemeParams params;
+    params.group_size = g;
+    params.interleave = inter;
+    RadarScheme scheme(params, bits);
     scheme.attach(qm_);
     return scheme;
   }

@@ -79,9 +79,9 @@ TEST_F(ExpWorkspace, ReplayDetectionAndRestoration) {
   const auto profiles = load_or_run_pbfa(b, 4, 2, "test", 64);
   const quant::ArenaSnapshot before = b.qmodel->snapshot();
 
-  core::RadarConfig rc;
+  core::SchemeParams rc;
   rc.group_size = 16;
-  const RecoveryOutcome o = replay_and_recover(b, profiles[0], rc, 4, 64);
+  const RecoveryOutcome o = replay_and_recover(b, profiles[0], rc, 2, 4, 64);
   EXPECT_EQ(o.flips_total, 4);
   EXPECT_GE(o.flips_detected, 3);  // PBFA flips are MSB-dominated
   EXPECT_GE(o.accuracy_recovered, 0.0);
@@ -91,10 +91,10 @@ TEST_F(ExpWorkspace, ReplayDetectionAndRestoration) {
 TEST_F(ExpWorkspace, ReplayPrefixUsesFewerFlips) {
   ModelBundle b = load_or_train("tiny");
   const auto profiles = load_or_run_pbfa(b, 4, 2, "test", 64);
-  core::RadarConfig rc;
+  core::SchemeParams rc;
   rc.group_size = 16;
   const RecoveryOutcome o2 =
-      replay_and_recover(b, profiles[0], rc, 2, /*eval=*/0);
+      replay_and_recover(b, profiles[0], rc, 2, 2, /*eval=*/0);
   EXPECT_EQ(o2.flips_total, 2);
   EXPECT_LE(o2.flips_detected, 2);
 }
@@ -102,10 +102,10 @@ TEST_F(ExpWorkspace, ReplayPrefixUsesFewerFlips) {
 TEST_F(ExpWorkspace, SummaryAveragesOverRounds) {
   ModelBundle b = load_or_train("tiny");
   const auto profiles = load_or_run_pbfa(b, 4, 2, "test", 64);
-  core::RadarConfig rc;
+  core::SchemeParams rc;
   rc.group_size = 16;
   const RecoverySummary s =
-      summarize_recovery(b, profiles, rc, 4, /*eval=*/0);
+      summarize_recovery(b, profiles, rc, 2, 4, /*eval=*/0);
   EXPECT_EQ(s.rounds, 2);
   EXPECT_GE(s.mean_detected, 0.0);
   EXPECT_LE(s.mean_detected, 4.0);

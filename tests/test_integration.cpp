@@ -101,10 +101,10 @@ TEST(Integration, RadarDetectsMostPbfaFlips) {
   Pipeline& p = pipeline();
   const quant::ArenaSnapshot clean = p.qm->snapshot();
 
-  core::RadarConfig cfg;
+  core::SchemeParams cfg;
   cfg.group_size = 64;
   cfg.interleave = true;
-  core::RadarScheme scheme(cfg);
+  core::RadarScheme scheme(cfg, 2);
   scheme.attach(*p.qm);
 
   attack::Pbfa pbfa;
@@ -138,9 +138,9 @@ TEST(Integration, RecoveryRestoresAccuracyAndLoss) {
   Pipeline& p = pipeline();
   const quant::ArenaSnapshot clean = p.qm->snapshot();
 
-  core::RadarConfig cfg;
+  core::SchemeParams cfg;
   cfg.group_size = 16;  // fine groups: little collateral zeroing
-  core::RadarScheme scheme(cfg);
+  core::RadarScheme scheme(cfg, 2);
   scheme.attach(*p.qm);
 
   attack::Pbfa pbfa;
@@ -170,9 +170,9 @@ TEST(Integration, ProtectedModelSurvivesRepeatedRuntimeAttacks) {
   Pipeline& p = pipeline();
   const quant::ArenaSnapshot clean = p.qm->snapshot();
 
-  core::RadarConfig cfg;
+  core::SchemeParams cfg;
   cfg.group_size = 32;
-  core::RadarScheme scheme(cfg);
+  core::RadarScheme scheme(cfg, 2);
   scheme.attach(*p.qm);
   core::ProtectedModel pm(*p.qm, scheme);
 
@@ -200,9 +200,9 @@ TEST(Integration, SmallerGroupsRecoverBetter) {
   double acc_small, acc_large;
   {
     p.qm->restore(clean);
-    core::RadarConfig cfg;
+    core::SchemeParams cfg;
     cfg.group_size = 16;
-    core::RadarScheme scheme(cfg);
+    core::RadarScheme scheme(cfg, 2);
     scheme.attach(*p.qm);
     p.qm->restore(attacked);
     scheme.recover(*p.qm, scheme.scan(*p.qm), core::RecoveryPolicy::kZeroOut);
@@ -210,9 +210,9 @@ TEST(Integration, SmallerGroupsRecoverBetter) {
   }
   {
     p.qm->restore(clean);
-    core::RadarConfig cfg;
+    core::SchemeParams cfg;
     cfg.group_size = 256;
-    core::RadarScheme scheme(cfg);
+    core::RadarScheme scheme(cfg, 2);
     scheme.attach(*p.qm);
     p.qm->restore(attacked);
     scheme.recover(*p.qm, scheme.scan(*p.qm), core::RecoveryPolicy::kZeroOut);

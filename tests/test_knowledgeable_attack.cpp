@@ -77,15 +77,15 @@ TEST_F(KnowledgeableTest, DecoyPairsEvadeContiguousUnmaskedChecksum) {
 
 TEST_F(KnowledgeableTest, MaskingAndInterleavingCatchTheDecoys) {
   // Attach both defender configurations to the clean model first.
-  core::RadarConfig contig;
+  core::SchemeParams contig;
   contig.group_size = kAssumedG;
   contig.interleave = false;
-  core::RadarScheme masked_contig(contig);
+  core::RadarScheme masked_contig(contig, 2);
   masked_contig.attach(*bundle_.qmodel);
 
-  core::RadarConfig ilv = contig;
+  core::SchemeParams ilv = contig;
   ilv.interleave = true;
-  core::RadarScheme masked_ilv(ilv);
+  core::RadarScheme masked_ilv(ilv, 2);
   masked_ilv.attach(*bundle_.qmodel);
 
   const attack::AttackResult res = run_attack(6);

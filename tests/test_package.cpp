@@ -5,6 +5,7 @@
 // and crash safety against a writer killed mid-write.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "common/bits.h"
 #include "common/fault_points.h"
@@ -46,9 +48,9 @@ class PackageTest : public ::testing::Test {
   ~PackageTest() override { std::filesystem::remove(path_); }
 
   RadarScheme make_signed_scheme() {
-    RadarConfig cfg;
-    cfg.group_size = 32;
-    RadarScheme scheme(cfg);
+    SchemeParams params;
+    params.group_size = 32;
+    RadarScheme scheme(params, 2);
     scheme.attach(qm_);
     return scheme;
   }
@@ -84,14 +86,13 @@ TEST_F(PackageTest, SaveLoadRoundTripVerifies) {
 }
 
 TEST_F(PackageTest, SchemeParamsSurviveRoundTrip) {
-  RadarConfig cfg;
-  cfg.group_size = 16;
-  cfg.interleave = false;
-  cfg.signature_bits = 3;
-  cfg.skew = 5;
-  cfg.expansion = MaskStream::Expansion::kRepeat;
-  cfg.master_key = 0x1234;
-  RadarScheme scheme(cfg);
+  SchemeParams params;
+  params.group_size = 16;
+  params.interleave = false;
+  params.skew = 5;
+  params.expansion = MaskStream::Expansion::kRepeat;
+  params.master_key = 0x1234;
+  RadarScheme scheme(params, 3);
   scheme.attach(qm_);
   save_package(path_, qm_, scheme, "cfg-test");
   const PackageInfo info = read_package_info(path_);
@@ -203,25 +204,36 @@ TEST_F(PackageTest, InfoDoesNotNeedModel) {
   EXPECT_EQ(info.total_weights, qm_.total_weights());
 }
 
-/// A scheme whose golden export fails — a save that dies partway through,
-/// after the header and layer table are already written.
-class ExportFailsScheme : public RadarScheme {
- public:
-  using RadarScheme::RadarScheme;
-  std::vector<std::vector<std::uint8_t>> export_golden() const override {
-    throw SerializationError("simulated crash mid-save");
-  }
-};
-
 TEST_F(PackageTest, InterruptedSaveKeepsThePreviousPackage) {
   RadarScheme scheme = make_signed_scheme();
   save_package(path_, qm_, scheme, "good");
-  RadarConfig cfg;
-  cfg.group_size = 32;
-  ExportFailsScheme failing(cfg);
-  failing.attach(qm_);
-  EXPECT_THROW(save_package(path_, qm_, failing, "partial"),
-               SerializationError);
+  const auto size = std::filesystem::file_size(path_);
+
+  // A save that fails partway through: the writer may write only half a
+  // package (RLIMIT_FSIZE), so a write fails with EFBIG once the header
+  // and part of the payload are out. The child exits 0 only when
+  // save_package reported that as a SerializationError.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);  // fail the write, do not kill us
+    const rlim_t half = static_cast<rlim_t>(size / 2);
+    const rlimit limit{half, half};
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(2);
+    try {
+      save_package(path_, qm_, scheme, "partial");
+    } catch (const SerializationError&) {
+      ::_exit(0);
+    } catch (...) {
+      ::_exit(3);
+    }
+    ::_exit(1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "the size-limited save did not throw SerializationError (status "
+      << status << ")";
 
   // The original package is intact and still verifies.
   EXPECT_EQ(read_package_info(path_).model_name, "good");
@@ -238,6 +250,56 @@ TEST_F(PackageTest, InterruptedSaveKeepsThePreviousPackage) {
        std::filesystem::directory_iterator(target.parent_path()))
     EXPECT_NE(entry.path().filename().string().rfind(temp_prefix, 0), 0u)
         << "leftover temp file " << entry.path();
+}
+
+/// FNV-1a 64 over every layer's exported golden bytes, each layer
+/// prefixed by its byte count.
+std::uint64_t golden_hash(const IntegrityScheme& scheme) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint8_t b) {
+    h = (h ^ b) * 0x100000001b3ULL;
+  };
+  for (const auto& layer : scheme.export_golden()) {
+    for (int k = 0; k < 8; ++k)
+      mix(static_cast<std::uint8_t>(layer.size() >> (8 * k)));
+    for (const std::uint8_t b : layer) mix(b);
+  }
+  return h;
+}
+
+// The stored golden bytes are what a verifier reads back out of a package
+// signed by an earlier build: a change to any scheme's word kernel or to
+// the bit packing would make those packages fail to verify while every
+// scan test still passes. Pinned per registered scheme at G = 32, with the
+// interleaved and the contiguous layout.
+TEST_F(PackageTest, GoldenBytesArePinned) {
+  const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+      kPinned = {
+          {"crc10", {0xc1a8b175174ed876ULL, 0xef61b37f3370f081ULL}},
+          {"crc13", {0xb1776259b5c8f8e3ULL, 0xe0fb49a5eeecdeeaULL}},
+          {"crc16", {0x2baf7a07691fd0a4ULL, 0x194e299c1ee12ea2ULL}},
+          {"crc7", {0xbdb1b2b3bb4fde67ULL, 0xcdc9d50afd774d3bULL}},
+          {"fletcher", {0x57f51e6e4187a22cULL, 0x68a3071b0f670246ULL}},
+          {"hamming-secded", {0xd97b09c945906ab6ULL, 0x21444ea1d1215862ULL}},
+          {"radar2", {0xf059929edf70ec9cULL, 0x1a2fdbfbf21806efULL}},
+          {"radar3", {0xba5c8fa004ebe8f4ULL, 0x5203ea9ae2bbd1adULL}},
+      };
+  for (const auto& id : SchemeRegistry::instance().ids()) {
+    const auto pinned = kPinned.find(id);
+    ASSERT_NE(pinned, kPinned.end()) << "no pinned golden bytes for " << id;
+    for (const bool interleave : {true, false}) {
+      SchemeParams params;
+      params.group_size = 32;
+      params.interleave = interleave;
+      auto scheme = SchemeRegistry::instance().create(id, params);
+      scheme->attach(qm_);
+      const std::uint64_t got = golden_hash(*scheme);
+      EXPECT_EQ(got, interleave ? pinned->second.first
+                                : pinned->second.second)
+          << id << (interleave ? " interleaved" : " contiguous") << ": 0x"
+          << std::hex << got;
+    }
+  }
 }
 
 TEST_F(PackageTest, CorruptFileRejected) {

@@ -20,12 +20,12 @@ nn::ResNetSpec tiny_spec() {
 class ProtectedModelTest : public ::testing::Test {
  protected:
   ProtectedModelTest()
-      : rng_(7), model_(tiny_spec(), rng_), qm_(model_), scheme_(config()) {
+      : rng_(7), model_(tiny_spec(), rng_), qm_(model_), scheme_(config(), 2) {
     scheme_.attach(qm_);
   }
 
-  static RadarConfig config() {
-    RadarConfig c;
+  static SchemeParams config() {
+    SchemeParams c;
     c.group_size = 32;
     return c;
   }
@@ -142,7 +142,7 @@ TEST_F(ProtectedModelTest, LayerwiseAndWholeModelAgreeOnRecovery) {
 }
 
 TEST_F(ProtectedModelTest, RequiresAttachedScheme) {
-  RadarScheme fresh(config());
+  RadarScheme fresh(config(), 2);
   EXPECT_THROW(ProtectedModel(qm_, fresh), InvalidArgument);
 }
 

@@ -38,17 +38,22 @@ namespace {
 std::atomic<std::size_t> g_alloc_count{0};
 }
 
-void* operator new(std::size_t n) {
+// new and the unsized delete, which every other form forwards to, stay
+// out of line: an inlined malloc/free pair at a new-expression's call site
+// would trip -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   ++g_alloc_count;
   return p;
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace radar::core {
 namespace {

@@ -21,13 +21,12 @@ class SchemeTest : public ::testing::Test {
  protected:
   SchemeTest() : rng_(42), model_(tiny_spec(), rng_), qm_(model_) {}
 
-  RadarConfig cfg(std::int64_t g = 32, bool interleave = true,
-                  int bits = 2) const {
-    RadarConfig c;
-    c.group_size = g;
-    c.interleave = interleave;
-    c.signature_bits = bits;
-    return c;
+  static RadarScheme make(std::int64_t g = 32, bool interleave = true,
+                          int bits = 2) {
+    SchemeParams p;
+    p.group_size = g;
+    p.interleave = interleave;
+    return RadarScheme(p, bits);
   }
 
   Rng rng_;
@@ -36,7 +35,7 @@ class SchemeTest : public ::testing::Test {
 };
 
 TEST_F(SchemeTest, CleanModelScansClean) {
-  RadarScheme scheme(cfg());
+  RadarScheme scheme = make();
   scheme.attach(qm_);
   const DetectionReport report = scheme.scan(qm_);
   EXPECT_FALSE(report.attack_detected());
@@ -44,7 +43,7 @@ TEST_F(SchemeTest, CleanModelScansClean) {
 }
 
 TEST_F(SchemeTest, SingleMsbFlipFlagsExactlyItsGroup) {
-  RadarScheme scheme(cfg());
+  RadarScheme scheme = make();
   scheme.attach(qm_);
   qm_.flip_bit(2, 7, 7);
   const DetectionReport report = scheme.scan(qm_);
@@ -55,7 +54,7 @@ TEST_F(SchemeTest, SingleMsbFlipFlagsExactlyItsGroup) {
 }
 
 TEST_F(SchemeTest, MultipleFlipsAcrossLayersAllFlagged) {
-  RadarScheme scheme(cfg());
+  RadarScheme scheme = make();
   scheme.attach(qm_);
   std::vector<std::pair<std::size_t, std::int64_t>> sites = {
       {0, 3}, {1, 50}, {3, 11}};
@@ -65,7 +64,7 @@ TEST_F(SchemeTest, MultipleFlipsAcrossLayersAllFlagged) {
 }
 
 TEST_F(SchemeTest, ScanLayerMatchesFullScan) {
-  RadarScheme scheme(cfg());
+  RadarScheme scheme = make();
   scheme.attach(qm_);
   qm_.flip_bit(1, 20, 7);
   const DetectionReport full = scheme.scan(qm_);
@@ -75,7 +74,7 @@ TEST_F(SchemeTest, ScanLayerMatchesFullScan) {
 }
 
 TEST_F(SchemeTest, ZeroOutRecoveryZeroesWholeGroup) {
-  RadarScheme scheme(cfg());
+  RadarScheme scheme = make();
   scheme.attach(qm_);
   qm_.flip_bit(2, 7, 7);
   const DetectionReport report = scheme.scan(qm_);
@@ -88,7 +87,7 @@ TEST_F(SchemeTest, ZeroOutRecoveryZeroesWholeGroup) {
 }
 
 TEST_F(SchemeTest, ZeroOutLeavesOtherGroupsUntouched) {
-  RadarScheme scheme(cfg());
+  RadarScheme scheme = make();
   scheme.attach(qm_);
   const quant::ArenaSnapshot before = qm_.snapshot();
   qm_.flip_bit(2, 7, 7);
@@ -102,7 +101,7 @@ TEST_F(SchemeTest, ZeroOutLeavesOtherGroupsUntouched) {
 }
 
 TEST_F(SchemeTest, ReloadCleanRestoresExactWeights) {
-  RadarScheme scheme(cfg());
+  RadarScheme scheme = make();
   scheme.attach(qm_);
   const quant::ArenaSnapshot clean = qm_.snapshot();
   qm_.flip_bit(0, 1, 7);
@@ -116,7 +115,7 @@ TEST_F(SchemeTest, ReloadCleanRestoresExactWeights) {
 }
 
 TEST_F(SchemeTest, ResignAcceptsAuthorizedUpdate) {
-  RadarScheme scheme(cfg());
+  RadarScheme scheme = make();
   scheme.attach(qm_);
   // An authorized in-place update (not an attack): change a weight, then
   // re-sign. The scheme must stop flagging it.
@@ -127,7 +126,7 @@ TEST_F(SchemeTest, ResignAcceptsAuthorizedUpdate) {
 }
 
 TEST_F(SchemeTest, StorageBytesMatchPerLayerPacking) {
-  RadarScheme scheme(cfg(32, true, 2));
+  RadarScheme scheme = make(32, true, 2);
   scheme.attach(qm_);
   std::int64_t expected = 0;
   for (std::size_t li = 0; li < qm_.num_layers(); ++li) {
@@ -138,8 +137,8 @@ TEST_F(SchemeTest, StorageBytesMatchPerLayerPacking) {
 }
 
 TEST_F(SchemeTest, ThreeBitSignatureCostsFiftyPercentMore) {
-  RadarScheme s2(cfg(32, true, 2));
-  RadarScheme s3(cfg(32, true, 3));
+  RadarScheme s2 = make(32, true, 2);
+  RadarScheme s3 = make(32, true, 3);
   s2.attach(qm_);
   s3.attach(qm_);
   const double ratio = static_cast<double>(s3.signature_storage_bytes()) /
@@ -148,8 +147,8 @@ TEST_F(SchemeTest, ThreeBitSignatureCostsFiftyPercentMore) {
 }
 
 TEST_F(SchemeTest, SmallerGroupsMoreStorage) {
-  RadarScheme coarse(cfg(128));
-  RadarScheme fine(cfg(8));
+  RadarScheme coarse = make(128);
+  RadarScheme fine = make(8);
   coarse.attach(qm_);
   fine.attach(qm_);
   EXPECT_GT(fine.signature_storage_bytes(),
@@ -157,7 +156,7 @@ TEST_F(SchemeTest, SmallerGroupsMoreStorage) {
 }
 
 TEST_F(SchemeTest, DetectsMsb1FlipWith3Bits) {
-  RadarScheme scheme(cfg(32, true, 3));
+  RadarScheme scheme = make(32, true, 3);
   scheme.attach(qm_);
   qm_.flip_bit(1, 9, 6);  // MSB-1
   EXPECT_TRUE(scheme.scan(qm_).attack_detected());
@@ -166,8 +165,8 @@ TEST_F(SchemeTest, DetectsMsb1FlipWith3Bits) {
 TEST_F(SchemeTest, InterleaveSplitsAdjacentFlips) {
   // Two adjacent weights: same group without interleave, different groups
   // with interleave.
-  RadarScheme inter(cfg(32, true));
-  RadarScheme contig(cfg(32, false));
+  RadarScheme inter = make(32, true);
+  RadarScheme contig = make(32, false);
   inter.attach(qm_);
   contig.attach(qm_);
   EXPECT_EQ(contig.layout(0).group_of(10), contig.layout(0).group_of(11));
@@ -175,21 +174,19 @@ TEST_F(SchemeTest, InterleaveSplitsAdjacentFlips) {
 }
 
 TEST_F(SchemeTest, ScanBeforeAttachThrows) {
-  RadarScheme scheme(cfg());
+  RadarScheme scheme = make();
   EXPECT_THROW(scheme.scan(qm_), InvalidArgument);
 }
 
 TEST_F(SchemeTest, ConfigValidation) {
-  RadarConfig bad = cfg();
+  SchemeParams bad;
   bad.group_size = 0;
-  EXPECT_THROW(RadarScheme{bad}, InvalidArgument);
-  bad = cfg();
-  bad.signature_bits = 5;
-  EXPECT_THROW(RadarScheme{bad}, InvalidArgument);
+  EXPECT_THROW((RadarScheme{bad, 2}), InvalidArgument);
+  EXPECT_THROW((RadarScheme{SchemeParams{}, 5}), InvalidArgument);
 }
 
 TEST_F(SchemeTest, GoldenExportImportRoundTrip) {
-  RadarScheme a(cfg());
+  RadarScheme a = make();
   a.attach(qm_);
   const auto exported = a.export_golden();
   EXPECT_EQ(exported.size(), qm_.num_layers());
@@ -197,7 +194,7 @@ TEST_F(SchemeTest, GoldenExportImportRoundTrip) {
   // A scheme whose golden state was computed from a *tampered* model
   // becomes correct again after importing the clean export.
   qm_.flip_bit(0, 2, 7);
-  RadarScheme b(cfg());
+  RadarScheme b = make();
   b.attach(qm_);                      // blesses the tampered state
   EXPECT_FALSE(b.scan(qm_).attack_detected());
   b.import_golden(exported);          // restore the signed truth
@@ -208,18 +205,18 @@ TEST_F(SchemeTest, GoldenExportImportRoundTrip) {
 }
 
 TEST_F(SchemeTest, ImportGoldenValidatesShape) {
-  RadarScheme scheme(cfg());
+  RadarScheme scheme = make();
   scheme.attach(qm_);
   auto exported = scheme.export_golden();
   exported.pop_back();
   EXPECT_THROW(scheme.import_golden(exported), InvalidArgument);
-  RadarScheme fresh(cfg());
+  RadarScheme fresh = make();
   EXPECT_THROW(fresh.import_golden(scheme.export_golden()),
                InvalidArgument);
 }
 
 TEST_F(SchemeTest, ResignLayerIsScoped) {
-  RadarScheme scheme(cfg());
+  RadarScheme scheme = make();
   scheme.attach(qm_);
   qm_.flip_bit(1, 4, 7);
   qm_.flip_bit(3, 8, 7);

@@ -207,11 +207,12 @@ std::vector<std::uint32_t> codes_reference_words(
   return words;
 }
 
-/// The golden words the scheme stores, decoded from export_golden().
-std::vector<std::uint32_t> exported_words(const GroupedCodeScheme& scheme,
-                                          std::size_t layer) {
+/// The `width`-bit golden words the scheme stores, decoded from
+/// export_golden().
+std::vector<std::uint32_t> exported_words(const IntegrityScheme& scheme,
+                                          std::size_t layer, int width) {
   const GroupLayout& layout = scheme.layout(layer);
-  PackedWordStore store(layout.num_groups(), scheme.code().code_bits());
+  PackedWordStore store(layout.num_groups(), width);
   store.set_packed(scheme.export_golden()[layer]);
   std::vector<std::uint32_t> words;
   for (std::int64_t g = 0; g < layout.num_groups(); ++g)
@@ -235,7 +236,8 @@ TEST_P(GroupedScanDifferential, AllScanPathsMatchMemberReference) {
   std::vector<std::vector<std::uint32_t>> golden;
   for (std::size_t li = 0; li < qm.num_layers(); ++li) {
     golden.push_back(codes_reference_words(*scheme, qm, li));
-    EXPECT_EQ(exported_words(*scheme, li), golden.back())
+    EXPECT_EQ(exported_words(*scheme, li, scheme->code().code_bits()),
+              golden.back())
         << id << " golden words of layer " << li;
   }
 
@@ -344,16 +346,12 @@ std::vector<std::uint32_t> edge_reference_words(
 /// The golden words the scheme stores, decoded from export_golden().
 std::vector<std::uint32_t> edge_exported_words(const IntegrityScheme& scheme,
                                                std::size_t layer) {
-  if (const auto* codes = dynamic_cast<const GroupedCodeScheme*>(&scheme))
-    return exported_words(*codes, layer);
-  const auto& radar = dynamic_cast<const RadarScheme&>(scheme);
-  SignatureStore store(radar.layout(layer).num_groups(),
-                       radar.signature_bits());
-  store.set_packed(radar.export_golden()[layer]);
-  std::vector<std::uint32_t> words;
-  for (std::int64_t g = 0; g < store.num_groups(); ++g)
-    words.push_back(store.get(g).bits);
-  return words;
+  const auto* codes = dynamic_cast<const GroupedCodeScheme*>(&scheme);
+  return exported_words(
+      scheme, layer,
+      codes != nullptr
+          ? codes->code().code_bits()
+          : dynamic_cast<const RadarScheme&>(scheme).signature_bits());
 }
 
 TEST_P(GroupedScanEdgeGeometry, EveryScanPathMatchesTheReferences) {
