@@ -407,87 +407,12 @@ void save_package_v3(BinaryWriter& w, const quant::QuantizedModel& qm,
                 static_cast<std::size_t>(arena.size_bytes()));
 }
 
-}  // namespace
-
-void save_package(const std::string& path, const quant::QuantizedModel& qm,
-                  const IntegrityScheme& scheme,
-                  const std::string& model_name, std::uint32_t version,
-                  const qnn::EngineProgram* engine) {
-  RADAR_REQUIRE(scheme.attached(), "scheme must be attached before save");
-  RADAR_REQUIRE(scheme.num_layers() == qm.num_layers(),
-                "scheme does not match model");
-  RADAR_REQUIRE(version >= kPackageFormatV2 && version <= kPackageFormatV4,
-                "unsupported package format version");
-  // Everything that can fail slowly happens before the file is opened.
-  std::vector<std::uint8_t> section;
-  if (version >= kPackageFormatV4) {
-    const qnn::EngineProgram program =
-        engine != nullptr ? *engine : sign_time_program(qm);
-    if (const char* defect = qnn::program_defect(program, qm))
-      throw InvalidArgument(std::string("cannot sign engine program: ") +
-                            defect);
-    section = encode_engine(program);
-  }
-  BinaryWriter w(path, version);
-  w.write_string(model_name);
-  write_scheme(w, scheme.id(), scheme.params());
-  w.write_u32(weights_crc(qm));
-  w.write_u64(qm.num_layers());
-  if (version == kPackageFormatV2)
-    save_package_v2(w, qm, scheme);
-  else
-    save_package_v3(w, qm, scheme);
-  // Crash-test hook: a writer stopped here has a half-written temp file
-  // and has not renamed it over `path`.
-  if (chaos::fire(chaos::points::kPackageMidWrite)) {
-#ifdef SIGSTOP
-    std::raise(SIGSTOP);
-#endif
-  }
-  if (version >= kPackageFormatV4) {
-    w.write_bytes(section.data(), section.size());
-    w.write_u64(section.size());
-    w.write_u32(section_crc(section));
-  }
-  w.close();
-}
-
-PackageInfo read_package_info(const std::string& path) {
-  return parse_package(path, /*read_blob=*/false).info;
-}
-
-MappedArena map_package_arena(const std::string& path) {
-  MappedArena out;
-#ifdef RADAR_HAVE_MMAP
-  ParsedPackage pkg;
-  try {
-    pkg = parse_package(path, /*read_blob=*/false);
-  } catch (const std::exception&) {
-    return out;  // unreadable or structurally corrupt: caller backs off
-  }
-  if (pkg.info.format_version < kPackageFormatV3 ||
-      pkg.blob_file_offset % quant::kArenaAlignment != 0 ||
-      pkg.info.arena_bytes <= 0)
-    return out;
-  const auto mapped = MappedFile::map(path);
-  if (mapped == nullptr) return out;
-  const auto all = mapped->bytes();
-  const auto arena_bytes = static_cast<std::size_t>(pkg.info.arena_bytes);
-  if (pkg.blob_file_offset + arena_bytes > all.size()) return out;
-  out.bytes = all.subspan(static_cast<std::size_t>(pkg.blob_file_offset),
-                          arena_bytes);
-  out.holder = std::move(mapped);
-#else
-  (void)path;
-#endif
-  return out;
-}
-
-PackageLoadReport load_package(const std::string& path,
-                               quant::QuantizedModel& qm,
-                               std::unique_ptr<IntegrityScheme>& scheme,
-                               const PackageLoadOptions& opts) {
-  ParsedPackage pkg = parse_package(path);
+/// load_package on an already parsed file: `path` is only re-opened for
+/// the golden mapping.
+PackageLoadReport load_parsed(const std::string& path, ParsedPackage pkg,
+                              quant::QuantizedModel& qm,
+                              std::unique_ptr<IntegrityScheme>& scheme,
+                              const PackageLoadOptions& opts) {
   PackageLoadReport report;
   report.info = std::move(pkg.info);
   RADAR_REQUIRE(report.info.num_layers == qm.num_layers(),
@@ -568,6 +493,98 @@ PackageLoadReport load_package(const std::string& path,
   report.tamper = verify.sweep(qm, pool.get());
   report.signatures_ok = !report.tamper.attack_detected();
   return report;
+}
+
+}  // namespace
+
+void save_package(const std::string& path, const quant::QuantizedModel& qm,
+                  const IntegrityScheme& scheme,
+                  const std::string& model_name, std::uint32_t version,
+                  const qnn::EngineProgram* engine) {
+  RADAR_REQUIRE(scheme.attached(), "scheme must be attached before save");
+  RADAR_REQUIRE(scheme.num_layers() == qm.num_layers(),
+                "scheme does not match model");
+  RADAR_REQUIRE(version >= kPackageFormatV2 && version <= kPackageFormatV4,
+                "unsupported package format version");
+  // Everything that can fail slowly happens before the file is opened.
+  std::vector<std::uint8_t> section;
+  if (version >= kPackageFormatV4) {
+    const qnn::EngineProgram program =
+        engine != nullptr ? *engine : sign_time_program(qm);
+    if (const char* defect = qnn::program_defect(program, qm))
+      throw InvalidArgument(std::string("cannot sign engine program: ") +
+                            defect);
+    section = encode_engine(program);
+  }
+  BinaryWriter w(path, version);
+  w.write_string(model_name);
+  write_scheme(w, scheme.id(), scheme.params());
+  w.write_u32(weights_crc(qm));
+  w.write_u64(qm.num_layers());
+  if (version == kPackageFormatV2)
+    save_package_v2(w, qm, scheme);
+  else
+    save_package_v3(w, qm, scheme);
+  // Crash-test hook: a writer stopped here has a half-written temp file
+  // and has not renamed it over `path`.
+  if (chaos::fire(chaos::points::kPackageMidWrite)) {
+#ifdef SIGSTOP
+    std::raise(SIGSTOP);
+#endif
+  }
+  if (version >= kPackageFormatV4) {
+    w.write_bytes(section.data(), section.size());
+    w.write_u64(section.size());
+    w.write_u32(section_crc(section));
+  }
+  w.close();
+}
+
+PackageInfo read_package_info(const std::string& path) {
+  return parse_package(path, /*read_blob=*/false).info;
+}
+
+MappedArena map_package_arena(const std::string& path) {
+  MappedArena out;
+#ifdef RADAR_HAVE_MMAP
+  ParsedPackage pkg;
+  try {
+    pkg = parse_package(path, /*read_blob=*/false);
+  } catch (const std::exception&) {
+    return out;  // unreadable or structurally corrupt: caller backs off
+  }
+  if (pkg.info.format_version < kPackageFormatV3 ||
+      pkg.blob_file_offset % quant::kArenaAlignment != 0 ||
+      pkg.info.arena_bytes <= 0)
+    return out;
+  const auto mapped = MappedFile::map(path);
+  if (mapped == nullptr) return out;
+  const auto all = mapped->bytes();
+  const auto arena_bytes = static_cast<std::size_t>(pkg.info.arena_bytes);
+  if (pkg.blob_file_offset + arena_bytes > all.size()) return out;
+  out.bytes = all.subspan(static_cast<std::size_t>(pkg.blob_file_offset),
+                          arena_bytes);
+  out.holder = std::move(mapped);
+#else
+  (void)path;
+#endif
+  return out;
+}
+
+PackageLoadReport load_package(const std::string& path,
+                               quant::QuantizedModel& qm,
+                               std::unique_ptr<IntegrityScheme>& scheme,
+                               const PackageLoadOptions& opts) {
+  return load_parsed(path, parse_package(path), qm, scheme, opts);
+}
+
+PackageLoadReport load_package(const std::string& path,
+                               std::unique_ptr<quant::QuantizedModel>& qm,
+                               std::unique_ptr<IntegrityScheme>& scheme,
+                               const PackageLoadOptions& opts) {
+  ParsedPackage pkg = parse_package(path);
+  qm = std::make_unique<quant::QuantizedModel>(pkg.info.layers);
+  return load_parsed(path, std::move(pkg), *qm, scheme, opts);
 }
 
 PackageLoadReport load_package(const std::string& path,

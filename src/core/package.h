@@ -159,4 +159,15 @@ PackageLoadReport load_package(const std::string& path,
                                std::unique_ptr<IntegrityScheme>& scheme,
                                std::size_t threads = 1);
 
+/// Arena-only load: build `qm` (replacing whatever it held) as a
+/// network-less QuantizedModel from the package's own layer table, then
+/// load and verify into it as above — one read of the file, no float
+/// network, no float mirror. The table must follow the shared geometry
+/// rule (WeightArena::build), as every package written by save_package
+/// does.
+PackageLoadReport load_package(const std::string& path,
+                               std::unique_ptr<quant::QuantizedModel>& qm,
+                               std::unique_ptr<IntegrityScheme>& scheme,
+                               const PackageLoadOptions& opts);
+
 }  // namespace radar::core

@@ -39,6 +39,27 @@ QuantizedModel::QuantizedModel(nn::ResNet& model) : model_(&model) {
   sync_all();
 }
 
+QuantizedModel::QuantizedModel(std::vector<ArenaLayer> table) {
+  RADAR_REQUIRE(!table.empty(), "model has no quantizable weights");
+  arena_ = WeightArena::build(std::move(table));
+  layers_.resize(arena_.num_layers());
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    layers_[i].name = arena_.layer(i).name;
+    layers_[i].q = arena_.span(i);
+    layers_[i].scale = arena_.layer(i).scale;
+  }
+}
+
+nn::ResNet& QuantizedModel::network() {
+  RADAR_REQUIRE(model_ != nullptr, "quantized model has no float network");
+  return *model_;
+}
+
+const nn::ResNet& QuantizedModel::network() const {
+  RADAR_REQUIRE(model_ != nullptr, "quantized model has no float network");
+  return *model_;
+}
+
 std::int8_t QuantizedModel::get_code(std::size_t layer,
                                      std::int64_t idx) const {
   const QuantLayer& l = layers_.at(layer);
@@ -54,7 +75,7 @@ void QuantizedModel::set_code(std::size_t layer, std::int64_t idx,
     dirty_.push_back({static_cast<std::uint32_t>(layer), idx,
                       l.q[static_cast<std::size_t>(idx)]});
   l.q[static_cast<std::size_t>(idx)] = v;
-  l.param->value[idx] = dequantize(v, l.scale);
+  if (l.param != nullptr) l.param->value[idx] = dequantize(v, l.scale);
 }
 
 std::int8_t QuantizedModel::flip_bit(std::size_t layer, std::int64_t idx,
@@ -66,7 +87,7 @@ std::int8_t QuantizedModel::flip_bit(std::size_t layer, std::int64_t idx,
     dirty_.push_back({static_cast<std::uint32_t>(layer), idx, before});
   const std::int8_t after = radar::flip_bit(before, bit);
   l.q[static_cast<std::size_t>(idx)] = after;
-  l.param->value[idx] = dequantize(after, l.scale);
+  if (l.param != nullptr) l.param->value[idx] = dequantize(after, l.scale);
   return before;
 }
 
@@ -119,7 +140,8 @@ void QuantizedModel::undo_dirty() {
   for (auto it = dirty_.rbegin(); it != dirty_.rend(); ++it) {
     QuantLayer& l = layers_[it->layer];
     l.q[static_cast<std::size_t>(it->index)] = it->before;
-    l.param->value[it->index] = dequantize(it->before, l.scale);
+    if (l.param != nullptr)
+      l.param->value[it->index] = dequantize(it->before, l.scale);
   }
   dirty_.clear();
   // The arena is back at the baseline state; baseline_ is still valid.
@@ -138,7 +160,7 @@ bool QuantizedModel::dirty_matches_baseline() const {
 
 void QuantizedModel::sync_layer(std::size_t layer) {
   QuantLayer& l = layers_.at(layer);
-  dequantize_into(l.q, l.scale, l.param->value.data());
+  if (l.param != nullptr) dequantize_into(l.q, l.scale, l.param->value.data());
 }
 
 void QuantizedModel::sync_all() {
@@ -191,7 +213,7 @@ void QuantizedModel::restore(const ArenaSnapshot& snap) {
                    static_cast<std::size_t>(std::min(kBlock, l.size - b)));
     };
     const QuantLayer& ql = layers_[i];
-    float* mirror = ql.param->value.data();
+    float* mirror = ql.param != nullptr ? ql.param->value.data() : nullptr;
     for (std::int64_t b = 0; b < l.size;) {
       if (block_equal(b)) {
         b += kBlock;
@@ -202,8 +224,9 @@ void QuantizedModel::restore(const ArenaSnapshot& snap) {
       e = std::min(e, l.size);
       const auto n = static_cast<std::size_t>(e - b);
       std::memcpy(d + b, s + b, n);
-      dequantize_into(ql.q.subspan(static_cast<std::size_t>(b), n), ql.scale,
-                      mirror + b);
+      if (mirror != nullptr)
+        dequantize_into(ql.q.subspan(static_cast<std::size_t>(b), n),
+                        ql.scale, mirror + b);
       b = e;
     }
   }

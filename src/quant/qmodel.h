@@ -2,13 +2,18 @@
 //
 // This is the deployment artifact RADAR protects: every conv / fc weight
 // tensor lives in one contiguous 64-byte-aligned WeightArena ("in DRAM" in
-// the paper's threat model) with the float masters mirroring q * scale, so
-// that forward passes and attacker gradients both see the quantized
-// network. Bit flips mutate the arena and are synced back to the float
-// mirror. Each QuantLayer::q is a span view into the arena; snapshots are
-// one-memcpy ArenaSnapshots, restoring one copies back and re-dequantizes
-// only the 64-byte blocks that differ, and baseline comparison under
+// the paper's threat model). Each QuantLayer::q is a span view into the
+// arena; snapshots are one-memcpy ArenaSnapshots, restoring one copies
+// back only the 64-byte blocks that differ, and baseline comparison under
 // dirty tracking is a byte compare against a second arena copy.
+//
+// The float mirror is optional. Built from a network, the model keeps the
+// network's float masters equal to q * scale, so that float forward passes
+// and attacker gradients both see the quantized network; every code write
+// (bit flips, undo, restore, loads) is synced back to them. Built from an
+// arena table alone (a package's layer table: the serving path), the model
+// has no network and no mirror: the arena is the whole model, writes touch
+// only the codes, and network() / forward() throw InvalidArgument.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +31,7 @@ namespace radar::quant {
 /// One quantized weight tensor — a view into the model's WeightArena.
 struct QuantLayer {
   std::string name;            ///< hierarchical parameter name
-  nn::Param* param = nullptr;  ///< float master (inside the network)
+  nn::Param* param = nullptr;  ///< float master (null: network-less)
   std::span<std::int8_t> q;    ///< int8 codes — the attack surface
   float scale = 1.0f;
 
@@ -47,6 +52,12 @@ class QuantizedModel {
   /// masters are rewritten to dequantized values). `model` must outlive
   /// this object.
   explicit QuantizedModel(nn::ResNet& model);
+
+  /// Network-less model over an arena laid out from `table` (names, sizes
+  /// and scales; offsets are reassigned by the shared geometry rule, see
+  /// WeightArena::build). All codes start at zero; load_weights fills
+  /// them. No float network or mirror exists.
+  explicit QuantizedModel(std::vector<ArenaLayer> table);
 
   std::size_t num_layers() const { return layers_.size(); }
   QuantLayer& layer(std::size_t i) { return layers_.at(i); }
@@ -81,12 +92,16 @@ class QuantizedModel {
     return arena_.locate(global);
   }
 
-  nn::ResNet& network() { return *model_; }
-  const nn::ResNet& network() const { return *model_; }
+  /// False for a model built from an arena table alone.
+  bool has_network() const { return model_ != nullptr; }
+  /// The float network; throws InvalidArgument when network-less.
+  nn::ResNet& network();
+  const nn::ResNet& network() const;
 
-  /// Inference through the (synced) float mirror.
+  /// Inference through the (synced) float mirror; throws InvalidArgument
+  /// when network-less.
   nn::Tensor forward(const nn::Tensor& x) {
-    return model_->forward(x, nn::Mode::kEval);
+    return network().forward(x, nn::Mode::kEval);
   }
 
   // ---- bit-level mutation (the attack surface) ----
@@ -107,7 +122,8 @@ class QuantizedModel {
   void load_weights(std::span<const std::int8_t> bytes,
                     std::span<const float> scales);
 
-  /// Rewrite the float master of one layer / all layers from int8 codes.
+  /// Rewrite the float master of one layer / all layers from int8 codes
+  /// (no-ops when network-less).
   void sync_layer(std::size_t layer);
   void sync_all();
 
@@ -147,7 +163,7 @@ class QuantizedModel {
   std::int64_t weight_bytes() const { return arena_.total_weights(); }
 
  private:
-  nn::ResNet* model_;
+  nn::ResNet* model_ = nullptr;  ///< null: network-less
   WeightArena arena_;
   std::vector<QuantLayer> layers_;
   bool track_dirty_ = false;

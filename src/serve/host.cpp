@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "common/sigbus_guard.h"
 #include "core/package.h"
+#include "data/model_recipe.h"
 #include "quant/epoch_guard.h"
 
 namespace radar::serve {
@@ -45,20 +46,17 @@ std::size_t ModelHost::add_tenant(const TenantConfig& cfg) {
   RADAR_REQUIRE(find_tenant(cfg.name) == npos,
                 "duplicate tenant name: " + cfg.name);
 
+  const data::ModelRecipe recipe = data::model_recipe(cfg.model_id);
+
   auto t = std::make_unique<Tenant>();
   t->cfg = cfg;
-  // The reference model only supplies the arena geometry (and the float
-  // mirror and dataset the harnesses read) — the package overwrites
-  // every weight and carries the engine — so skip training and
-  // clean-accuracy eval.
-  t->bundle = exp::make_bundle(cfg.model_id, /*train=*/false,
-                               /*eval_clean=*/false);
-
+  // The package is the whole model: its arena table gives the geometry,
+  // its blob the weights, its engine section the served program.
   core::PackageLoadOptions load_opts;
   load_opts.threads = 1;
   load_opts.mmap_golden = cfg.mmap_golden;
   core::PackageLoadReport report = core::load_package(
-      cfg.package_path, *t->bundle.qmodel, t->scheme, load_opts);
+      cfg.package_path, t->qmodel, t->scheme, load_opts);
   RADAR_REQUIRE(report.verified(),
                 "tenant '" + cfg.name + "': package " + cfg.package_path +
                     " failed verification — refusing to serve it");
@@ -68,11 +66,25 @@ std::size_t ModelHost::add_tenant(const TenantConfig& cfg) {
                     std::to_string(report.info.format_version) +
                     " and carries no signed engine; re-sign it with "
                     "`radar_cli sign`");
+  const qnn::EngineProgram& program = report.info.engine;
+  RADAR_REQUIRE(program.in_channels == recipe.data_spec.channels &&
+                    program.num_classes == recipe.data_spec.num_classes,
+                "tenant '" + cfg.name + "': inputs of model '" +
+                    cfg.model_id + "' (" +
+                    std::to_string(recipe.data_spec.channels) +
+                    " channels, " +
+                    std::to_string(recipe.data_spec.num_classes) +
+                    " classes) do not fit the signed engine of " +
+                    cfg.package_path + " (" +
+                    std::to_string(program.in_channels) + " channels, " +
+                    std::to_string(program.num_classes) + " classes)");
+  t->dataset = std::make_unique<const data::SyntheticDataset>(
+      recipe.data_spec, recipe.n_train, recipe.n_test);
   t->golden_mmapped = report.golden_mmapped;
 
   // Per-shard seqlock epochs: from here on every arena mutation must go
   // through a WriterSection (inject_faults and scanner recovery do).
-  t->bundle.qmodel->enable_epoch_guard(opts_.epoch_shard_bytes);
+  t->qmodel->enable_epoch_guard(opts_.epoch_shard_bytes);
 
   // One engine per tenant, built from the package's signed program and
   // shared across workers: the program is immutable and all working
@@ -80,7 +92,7 @@ std::size_t ModelHost::add_tenant(const TenantConfig& cfg) {
   // parallelism comes from concurrent requests, keeping per-request
   // latency flat under load.
   t->engine = std::make_unique<qnn::InferenceEngine>(
-      *t->bundle.qmodel, std::move(report.info.engine),
+      *t->qmodel, std::move(report.info.engine),
       qnn::EngineKind::kBatched, nullptr);
 
   core::ScanScheduler::Config scfg;
@@ -100,11 +112,11 @@ std::size_t ModelHost::add_tenant(const TenantConfig& cfg) {
     t->golden_guard.build(t->scheme->clean_arena_bytes(),
                           opts_.golden_range_bytes);
     t->fallback_snapshot = std::make_shared<quant::ArenaSnapshot>(
-        t->bundle.qmodel->snapshot());
+        t->qmodel->snapshot());
   }
 
   RADAR_LOG(kInfo) << "serve: tenant '" << cfg.name << "' ready — "
-                   << t->bundle.qmodel->total_weights() << " weights, "
+                   << t->qmodel->total_weights() << " weights, "
                    << t->scheme->id() << " scheme, "
                    << t->scheduler.num_chunks() << " scan chunks, golden "
                    << (t->golden_mmapped ? "mmap" : "owned");
@@ -124,7 +136,7 @@ std::size_t ModelHost::find_tenant(const std::string& name) const {
 }
 
 const data::SyntheticDataset& ModelHost::dataset(std::size_t t) const {
-  return *tenants_.at(t)->bundle.dataset;
+  return *tenants_.at(t)->dataset;
 }
 
 const qnn::InferenceEngine& ModelHost::engine(std::size_t t) const {
@@ -388,7 +400,7 @@ void ModelHost::watchdog_loop() {
 }
 
 core::ScanScheduler::Slice ModelHost::scan_step(Tenant& t) {
-  quant::QuantizedModel& qm = *t.bundle.qmodel;
+  quant::QuantizedModel& qm = *t.qmodel;
   const core::ScanScheduler::Slice slice = t.scheduler.run_slice(qm);
 
   // Publish the scheduler's private counters for stats().
@@ -581,7 +593,7 @@ void ModelHost::quarantine_tenant(Tenant& t) {
   // readmission deadline is armed. The scans inside are the scheme's
   // unguarded ones: a guarded sweep would retry against this very writer
   // section and then block in lock_writers.
-  quant::QuantizedModel& qm = *t.bundle.qmodel;
+  quant::QuantizedModel& qm = *t.qmodel;
   std::size_t repaired = 0, scrubbed = 0;
   bool clean = false;
   {
@@ -763,7 +775,7 @@ std::size_t ModelHost::inject_faults(std::size_t tenant, int flips,
                                      std::uint64_t seed) {
   RADAR_REQUIRE(tenant < tenants_.size(), "unknown tenant index");
   Tenant& t = *tenants_[tenant];
-  quant::QuantizedModel& qm = *t.bundle.qmodel;
+  quant::QuantizedModel& qm = *t.qmodel;
   if (flips <= 0) return 0;
   Rng rng(seed);
   const auto sites = rng.sample_without_replacement(
@@ -797,7 +809,7 @@ std::size_t ModelHost::inject_rowhammer(std::size_t tenant, int rows,
   RADAR_REQUIRE(rows > 0 && activations > 0,
                 "rowhammer injection needs rows > 0 and activations > 0");
   Tenant& t = *tenants_[tenant];
-  quant::QuantizedModel& qm = *t.bundle.qmodel;
+  quant::QuantizedModel& qm = *t.qmodel;
   attack::RowhammerConfig rc;
   rc.rows = rows;
   rc.activations = activations;
@@ -845,7 +857,7 @@ HostStats ModelHost::stats() const {
         t.scan_bytes.load(std::memory_order_relaxed);
     s.scan_bytes_per_sec =
         scan_ns > 0 ? scan_bytes * 1000000000 / scan_ns : 0;
-    const quant::EpochGuard* g = t.bundle.qmodel->epoch_guard();
+    const quant::EpochGuard* g = t.qmodel->epoch_guard();
     s.writer_sections = g ? g->writer_sections() : 0;
     // Acquire, in list order: see RADAR_TENANT_STATS.
 #define X(type, field, init) s.field = t.field.load(std::memory_order_acquire);

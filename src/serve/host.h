@@ -1,12 +1,15 @@
 // ModelHost: the multi-tenant protection-as-a-service core.
 //
 // Each tenant is a signed deployment package loaded into its own
-// QuantizedModel + IntegrityScheme (golden copy zero-copy via the v3+
-// mmap path when available) with the int8 inference engine built from the
-// package's signed, calibrated op program (v4; older packages are refused
-// with a re-sign hint). A pool of worker threads drains one bounded MPMC request
-// queue — requests carry the tenant id, so a burst on one tenant borrows
-// every idle worker — while a single background scanner thread runs
+// network-less QuantizedModel (built from the package's arena table: no
+// float network, no float mirror) + IntegrityScheme (golden copy
+// zero-copy via the v3+ mmap path when available), with the int8
+// inference engine built from the package's signed, calibrated op
+// program (v4; older packages are refused with a re-sign hint). The
+// package alone defines what is served. A pool of worker threads drains
+// one bounded MPMC request queue — requests carry the tenant id, so a
+// burst on one tenant borrows every idle worker — while a single
+// background scanner thread runs
 // budget-bounded scan slices across all tenants (most-overdue-first by
 // coverage age, round-robin otherwise), epoch-validating every scan
 // against the arena's seqlock guard (see core/scan_scheduler.h).
@@ -44,7 +47,9 @@
 #include <vector>
 
 #include "core/scan_scheduler.h"
-#include "exp/workspace.h"
+#include "data/synthetic.h"
+#include "qnn/engine.h"
+#include "quant/qmodel.h"
 #include "quant/weight_arena.h"
 #include "serve/golden_guard.h"
 #include "serve/latency_histogram.h"
@@ -55,7 +60,11 @@ namespace radar::serve {
 struct TenantConfig {
   std::string name;          ///< routing key (unique per host)
   std::string package_path;  ///< signed deployment package (v4)
-  std::string model_id = "tiny";  ///< reference model structure
+  /// data::model_recipe id whose test split is the tenant's request input
+  /// pool (dataset()). It names inputs only: the served model comes from
+  /// the package, and add_tenant refuses a recipe whose input channels or
+  /// class count disagree with the package's signed engine.
+  std::string model_id = "tiny";
   bool mmap_golden = true;   ///< zero-copy golden clean copy
 };
 
@@ -197,11 +206,13 @@ class ModelHost {
   ModelHost(const ModelHost&) = delete;
   ModelHost& operator=(const ModelHost&) = delete;
 
-  /// Load and verify one tenant and build its engine from the package's
-  /// signed program (before start()). Renders no dataset image and runs
-  /// no calibration. Throws on a package that fails verification — a
-  /// tampered artifact must not enter service — and on a v2/v3 package,
-  /// which carries no engine (re-sign it). Returns the tenant index.
+  /// Load and verify one tenant from its package alone and build its
+  /// engine from the package's signed program (before start()). Builds
+  /// no float network, renders no dataset image and runs no calibration.
+  /// Throws on a package that fails verification — a tampered artifact
+  /// must not enter service — on a v2/v3 package, which carries no engine
+  /// (re-sign it), and on a cfg.model_id whose recipe's inputs do not fit
+  /// the signed engine. Returns the tenant index.
   std::size_t add_tenant(const TenantConfig& cfg);
 
   std::size_t num_tenants() const { return tenants_.size(); }
@@ -209,7 +220,8 @@ class ModelHost {
   /// Index of a tenant by name, or npos when unknown.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t find_tenant(const std::string& name) const;
-  /// The tenant's dataset (request inputs for harnesses and the daemon).
+  /// The tenant's input pool: the cfg.model_id recipe's dataset (request
+  /// inputs for harnesses and the daemon).
   const data::SyntheticDataset& dataset(std::size_t t) const;
   /// The tenant's serving engine (offline checks of what it computes).
   const qnn::InferenceEngine& engine(std::size_t t) const;
@@ -267,7 +279,8 @@ class ModelHost {
 
   struct Tenant {
     TenantConfig cfg;
-    exp::ModelBundle bundle;
+    std::unique_ptr<quant::QuantizedModel> qmodel;  ///< network-less
+    std::unique_ptr<const data::SyntheticDataset> dataset;
     std::unique_ptr<core::IntegrityScheme> scheme;
     std::unique_ptr<qnn::InferenceEngine> engine;
     bool golden_mmapped = false;

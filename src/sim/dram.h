@@ -119,7 +119,7 @@ class DramModel {
 
   /// Targeted variant (the DeepHammer-style attacker): hammer the
   /// victim's neighbours `activations` times (default: exactly the
-  /// threshold) and flip a specific bit. Sub-threshold accumulated
+  /// threshold) and flip a specific bit (0-7). Sub-threshold accumulated
   /// activations never flip; past the threshold the flip succeeds with
   /// probability `placement_success` — an attacker who massages memory
   /// layout until the target lands on a vulnerable cell.

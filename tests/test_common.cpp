@@ -105,7 +105,9 @@ TEST(Bits, MsbFlipDeltaIs128) {
     const int d = flip_delta(x, kMsb);
     EXPECT_EQ(std::abs(d), 128);
     // 0 -> 1 on the sign bit means the value *decreases* by 128.
-    if (!get_bit(x, kMsb)) EXPECT_EQ(d, -128);
+    if (!get_bit(x, kMsb)) {
+      EXPECT_EQ(d, -128);
+    }
   }
 }
 

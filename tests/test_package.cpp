@@ -2,7 +2,8 @@
 // evidence, with the scheme id + params carried in the artifact; format
 // v4 (the signed, calibrated engine program), v3 (contiguous weight arena
 // + layer table + mmap'd golden copy), the transparent v2 migration path,
-// and crash safety against a writer killed mid-write.
+// the arena-only load that builds a network-less model from the package's
+// own layer table, and crash safety against a writer killed mid-write.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -21,6 +22,7 @@
 #include "core/scheme.h"
 #include "core/scheme_registry.h"
 #include "data/model_recipe.h"
+#include "exp/workspace.h"
 #include "qnn/engine.h"
 #include "qnn/qnn_scratch.h"
 #include "serve/host.h"
@@ -500,6 +502,59 @@ TEST_F(PackageTest, V4SignsTheCalibratedEngine) {
                         static_cast<std::size_t>(want.numel()) * sizeof(float)),
             0)
       << "served logits differ from the signer's engine";
+}
+
+TEST_F(PackageTest, ArenaOnlyLoadMatchesTheNetworkPath) {
+  SchemeParams params;
+  params.group_size = 32;
+  for (const std::string id : {"radar2", "crc13"}) {
+    for (const bool mmap : {false, true}) {
+      auto signer = SchemeRegistry::instance().create(id, params);
+      signer->attach(qm_);
+      save_package(path_, qm_, *signer, "arena-only");
+
+      // The network path: a reference model of the recipe supplies the
+      // geometry.
+      exp::ModelBundle ref = exp::make_bundle("tiny", /*train=*/false,
+                                              /*eval_clean=*/false);
+      std::unique_ptr<IntegrityScheme> ref_scheme;
+      ASSERT_TRUE(load_package(path_, *ref.qmodel, ref_scheme).verified());
+
+      // The arena-only path: the package's own table.
+      std::unique_ptr<quant::QuantizedModel> qm;
+      std::unique_ptr<IntegrityScheme> scheme;
+      PackageLoadOptions opts;
+      opts.mmap_golden = mmap;
+      PackageLoadReport report = load_package(path_, qm, scheme, opts);
+      ASSERT_TRUE(report.verified()) << id;
+      ASSERT_NE(qm, nullptr);
+      EXPECT_FALSE(qm->has_network());
+      EXPECT_EQ(report.golden_mmapped, mmap);
+      EXPECT_EQ(qm->arena().size_bytes(), ref.qmodel->arena().size_bytes());
+      EXPECT_EQ(qm->snapshot(), ref.qmodel->snapshot()) << id;
+      EXPECT_EQ(std::memcmp(qm->arena().bytes().data(),
+                            ref.qmodel->arena().bytes().data(),
+                            qm->arena().bytes().size()),
+                0)
+          << "arena bytes differ from the network path";
+      for (std::size_t i = 0; i < qm->num_layers(); ++i)
+        EXPECT_EQ(qm->layer(i).scale, ref.qmodel->layer(i).scale);
+      EXPECT_EQ(scheme->export_golden(), ref_scheme->export_golden());
+
+      // Tampering is still localized: an MSB flip is caught by a scan.
+      qm->flip_bit(1, 3, 7);
+      EXPECT_TRUE(scheme->scan(*qm).attack_detected()) << id;
+      qm->flip_bit(1, 3, 7);
+
+      // Re-signing the loaded model with its signed program writes the
+      // same bytes: nothing is lost without the network.
+      const std::string resaved = path_ + ".resaved";
+      save_package(resaved, *qm, *scheme, "arena-only", kPackageFormatV4,
+                   &report.info.engine);
+      EXPECT_EQ(slurp(resaved), slurp(path_)) << id;
+      std::filesystem::remove(resaved);
+    }
+  }
 }
 
 TEST_F(PackageTest, FlippingAnEngineSectionByteFailsTheLoad) {

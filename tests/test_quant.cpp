@@ -1,9 +1,11 @@
 // Quantizer and QuantizedModel: rounding contracts, bit-flip mutation,
-// float-mirror synchronization, snapshots.
+// float-mirror synchronization, snapshots, and the network-less model
+// built from an arena table alone.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "data/model_recipe.h"
 #include "quant/qmodel.h"
 #include "quant/quantizer.h"
 
@@ -139,6 +141,94 @@ TEST_F(QuantModelTest, QuantizedAccuracyCloseToFloat) {
   nn::Tensor y_quant = qm.forward(x);
   EXPECT_LT(nn::max_abs_diff(y_float, y_quant),
             0.25f * std::max(1.0f, y_float.abs_max()));
+}
+
+// ---------------------------------------------------------------------
+// Network-less models: the arena table alone (the serving path).
+// ---------------------------------------------------------------------
+
+/// A network-less model over `qm`'s table (offsets cleared: the
+/// constructor must reassign them) holding `qm`'s codes.
+QuantizedModel networkless_copy(const QuantizedModel& qm) {
+  std::vector<ArenaLayer> table = qm.arena().table();
+  std::vector<float> scales;
+  for (ArenaLayer& l : table) {
+    l.offset = 0;
+    scales.push_back(l.scale);
+  }
+  QuantizedModel out(std::move(table));
+  out.load_weights(qm.arena().bytes(), scales);
+  return out;
+}
+
+TEST(NetworklessModel, TableGeometryEqualsTheNetworkBuiltArena) {
+  for (const nn::ResNetSpec& spec :
+       {data::model_recipe("tiny").spec, nn::ResNetSpec::resnet20(10)}) {
+    Rng rng(5);
+    nn::ResNet net(spec, rng);
+    const QuantizedModel qm(net);
+    std::vector<ArenaLayer> table = qm.arena().table();
+    for (ArenaLayer& l : table) l.offset = 0;
+    const QuantizedModel nl(std::move(table));
+    EXPECT_FALSE(nl.has_network());
+    ASSERT_EQ(nl.num_layers(), qm.num_layers()) << spec.name;
+    EXPECT_EQ(nl.total_weights(), qm.total_weights());
+    EXPECT_EQ(nl.arena().size_bytes(), qm.arena().size_bytes());
+    for (std::size_t i = 0; i < qm.num_layers(); ++i) {
+      const ArenaLayer& a = nl.arena().layer(i);
+      const ArenaLayer& b = qm.arena().layer(i);
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_EQ(a.offset, b.offset) << b.name;
+      EXPECT_EQ(a.size, b.size) << b.name;
+      EXPECT_EQ(a.scale, b.scale) << b.name;
+      EXPECT_EQ(nl.layer(i).name, b.name);
+      EXPECT_EQ(nl.layer(i).scale, b.scale);
+      EXPECT_EQ(nl.layer(i).param, nullptr);
+      EXPECT_EQ(nl.layer(i).q.data() - nl.arena().bytes().data(), b.offset);
+    }
+    // Codes start at zero until load_weights fills them.
+    for (const std::int8_t c : nl.arena().bytes()) ASSERT_EQ(c, 0);
+  }
+}
+
+TEST_F(QuantModelTest, NetworklessWritesMatchTheMirroredModel) {
+  QuantizedModel qm(model_);
+  QuantizedModel nl = networkless_copy(qm);
+  EXPECT_EQ(nl.snapshot(), qm.snapshot()) << "load_weights is exact";
+  const ArenaSnapshot clean = qm.snapshot();
+
+  qm.set_code(2, 40, -77);
+  nl.set_code(2, 40, -77);
+  EXPECT_EQ(nl.flip_bit(5, 123, 7), qm.flip_bit(5, 123, 7));
+  EXPECT_EQ(nl.flip_bit(0, 0, 3), qm.flip_bit(0, 0, 3));
+  EXPECT_EQ(nl.snapshot(), qm.snapshot()) << "set_code / flip_bit";
+
+  nl.restore(clean);
+  EXPECT_EQ(nl.snapshot(), clean) << "restore";
+
+  nl.set_dirty_tracking(true);
+  nl.flip_bit(7, 9, 6);
+  nl.set_code(7, 9, 12);
+  nl.flip_bit(21, 1, 7);
+  EXPECT_FALSE(nl.dirty_matches_baseline());
+  nl.undo_dirty();
+  EXPECT_EQ(nl.snapshot(), clean) << "undo_dirty";
+  EXPECT_TRUE(nl.dirty_matches_baseline());
+  nl.sync_all();  // no mirror: a no-op
+  EXPECT_EQ(nl.snapshot(), clean);
+}
+
+TEST(NetworklessModel, NetworkAndForwardThrow) {
+  Rng rng(6);
+  nn::ResNet net(data::model_recipe("tiny").spec, rng);
+  const QuantizedModel qm(net);
+  QuantizedModel nl = networkless_copy(qm);
+  const QuantizedModel& cnl = nl;
+  EXPECT_THROW(nl.network(), InvalidArgument);
+  EXPECT_THROW(cnl.network(), InvalidArgument);
+  EXPECT_THROW(nl.forward(nn::Tensor::randn({1, 3, 16, 16}, rng)),
+               InvalidArgument);
+  EXPECT_THROW(QuantizedModel(std::vector<ArenaLayer>{}), InvalidArgument);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "common/fault_points.h"
 #include "core/package.h"
 #include "core/scheme_registry.h"
+#include "data/model_recipe.h"
 #include "exp/workspace.h"
 #include "serve/daemon.h"
 #include "serve/host.h"
@@ -324,6 +325,91 @@ TEST_F(ServeHostTest, ServesTheSignedTrainedModel) {
   }
   host.stop();
   std::filesystem::remove(path);
+}
+
+TEST_F(ServeHostTest, ServesAPackageSignedFromAnotherSpec) {
+  // A network the "tiny" recipe does not build — other depth and width,
+  // same inputs and classes. The host takes the geometry from the
+  // package, so the recipe only supplies request inputs.
+  nn::ResNetSpec spec = data::model_recipe("tiny").spec;
+  spec.base_width = 12;
+  spec.blocks_per_stage = {2, 1};
+  Rng rng(77);
+  nn::ResNet net(spec, rng);
+  quant::QuantizedModel qm(net);
+  const std::string path = "/tmp/radar_test_serve_spec_" +
+                           std::to_string(::getpid()) + ".rpkg";
+  {
+    auto scheme = core::SchemeRegistry::instance().create(
+        "radar3", core::SchemeParams{.group_size = 16});
+    scheme->attach(qm);
+    core::save_package(path, qm, *scheme, "tiny-wide");
+  }
+  // The recipe's reference model cannot hold these weights.
+  {
+    exp::ModelBundle ref =
+        exp::make_bundle("tiny", /*train=*/false, /*eval_clean=*/false);
+    std::unique_ptr<core::IntegrityScheme> scheme;
+    EXPECT_THROW(core::load_package(path, *ref.qmodel, scheme),
+                 InvalidArgument);
+  }
+
+  const nn::Tensor images = data::model_recipe("tiny")
+                                .dataset()
+                                .test_batch(0, core::kPackageCalibImages)
+                                .images;
+  qnn::InferenceEngine signer(qm);
+  signer.calibrate(images);
+  const nn::Tensor want = signer.forward(images);
+
+  ModelHost host;
+  TenantConfig cfg;
+  cfg.name = "wide";
+  cfg.package_path = path;
+  const std::size_t t = host.add_tenant(cfg);
+  const nn::Tensor got = host.engine(t).forward(images);
+  ASSERT_EQ(got.numel(), want.numel());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<std::size_t>(want.numel()) *
+                            sizeof(float)),
+            0)
+      << "served logits differ from the signer's engine";
+
+  host.start();
+  const std::int64_t classes = signer.num_classes();
+  for (std::int64_t i = 0; i < core::kPackageCalibImages; ++i) {
+    const InferenceResult r =
+        host.infer(t, host.dataset(t).test_batch(i, 1).images);
+    ASSERT_TRUE(r.ok) << r.error;
+    const float* row = want.data() + i * classes;
+    EXPECT_EQ(r.predicted, std::max_element(row, row + classes) - row)
+        << "image " << i;
+  }
+  host.stop();
+  std::filesystem::remove(path);
+}
+
+TEST_F(ServeHostTest, RefusesARecipeThatDoesNotFitTheSignedEngine) {
+  // pkg_a_ is a 4-class "tiny" package: resnet20's 10-class and
+  // resnet18's 20-class input pools do not fit its engine.
+  ModelHost host;
+  TenantConfig cfg;
+  cfg.name = "alpha";
+  cfg.package_path = *pkg_a_;
+  for (const char* id : {"resnet20", "resnet18"}) {
+    cfg.model_id = id;
+    try {
+      host.add_tenant(cfg);
+      ADD_FAILURE() << "model_id " << id << " was admitted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("do not fit the signed engine"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(host.num_tenants(), 0u);
+  }
+  cfg.model_id = "tiny";
+  EXPECT_EQ(host.add_tenant(cfg), 0u);
 }
 
 TEST_F(ServeHostTest, ServesTwoTenantsConcurrently) {

@@ -79,9 +79,12 @@
 //       Multi-tenant protection-as-a-service daemon: every --tenant loads
 //       one signed package (mmap'd golden copy by default) behind a
 //       shared worker pool, with the epoch-guarded background scanner
-//       sweeping all tenants. Speaks the line protocol on the Unix
-//       socket (see src/serve/daemon.h); `SHUTDOWN` exits cleanly and
-//       prints the final stats JSON.
+//       sweeping all tenants. The package alone defines the served
+//       model; --model names only the recipe whose test images are the
+//       `INFER` inputs (its classes must match the signed engine's).
+//       Speaks the line protocol on the Unix socket (see
+//       src/serve/daemon.h); `SHUTDOWN` exits cleanly and prints the
+//       final stats JSON.
 //
 //   radar_cli schemes
 //       List the registered scheme ids.

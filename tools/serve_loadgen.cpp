@@ -24,8 +24,9 @@
 // against its intended arrival, so retries cost tail latency, honestly.
 //
 // Results land as a human table plus BENCH_serve.json (p50/p99/p999 per
-// phase, throughput, retries, time-to-detect). Exit code 1 when an
-// injection was requested but never detected — the CI smoke contract.
+// phase, throughput, retries, time-to-detect; in-process, also the mean
+// per-tenant bring-up time and resident-memory growth). Exit code 1 when
+// an injection was requested but never detected — the CI smoke contract.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -33,6 +34,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -154,6 +156,21 @@ std::size_t zipf_pick(const std::vector<double>& cdf, double u) {
   return cdf.size() - 1;
 }
 
+/// This process's resident set (VmRSS) in KiB; -1 where /proc is absent.
+std::int64_t vm_rss_kib() {
+  std::ifstream in("/proc/self/status");
+  std::string key;
+  std::int64_t kib = -1;
+  while (in >> key) {
+    if (key == "VmRSS:") {
+      in >> kib;
+      break;
+    }
+    in.ignore(1 << 16, '\n');
+  }
+  return kib;
+}
+
 // ---------------------------------------------------------------------
 // Backend: the loadgen's view of the serving system. Control operations
 // run on the main thread; infer() must be safe from every client thread.
@@ -190,6 +207,10 @@ class Backend {
   /// is summed across tenants.
   virtual double coverage_period_ms() { return -1.0; }
   virtual double scan_bytes_per_sec() { return -1.0; }
+  /// Mean add_tenant wall time and VmRSS growth per tenant when the
+  /// backend brought the tenants up itself (NaN: unknown).
+  virtual double tenant_bringup_ms() const { return std::nan(""); }
+  virtual double tenant_rss_kib() const { return std::nan(""); }
   virtual void shutdown() {}
 };
 
@@ -217,6 +238,8 @@ class InProcessBackend : public Backend {
     }
     if (specs.empty()) specs = provision_demo_tenants(o);
 
+    const std::int64_t rss0 = vm_rss_kib();
+    const auto t0 = Clock::now();
     for (const auto& [name, pkg] : specs) {
       serve::TenantConfig cfg;
       cfg.name = name;
@@ -224,6 +247,13 @@ class InProcessBackend : public Backend {
       cfg.model_id = o.model;
       host_->add_tenant(cfg);
     }
+    const double n = static_cast<double>(specs.size());
+    bringup_ms_ =
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count() /
+        n;
+    const std::int64_t rss1 = vm_rss_kib();
+    if (rss0 >= 0 && rss1 >= 0)
+      rss_kib_ = static_cast<double>(rss1 - rss0) / n;
 
     // Pre-slice a pool of single-image inputs per tenant so the hot loop
     // never allocates tensors.
@@ -287,6 +317,8 @@ class InProcessBackend : public Backend {
       total += t.scan_bytes_per_sec;
     return static_cast<double>(total);
   }
+  double tenant_bringup_ms() const override { return bringup_ms_; }
+  double tenant_rss_kib() const override { return rss_kib_; }
 
   serve::ModelHost& host() { return *host_; }
 
@@ -318,6 +350,8 @@ class InProcessBackend : public Backend {
   std::atomic<std::size_t> cursor_{0};
   std::vector<std::string> owned_packages_;
   std::int64_t deadline_ms_;
+  double bringup_ms_ = std::nan("");
+  double rss_kib_ = std::nan("");
 };
 
 #if LOADGEN_HAVE_UNIX_SOCKETS
@@ -631,6 +665,9 @@ int main(int argc, char** argv) {
                 "%lldms/phase\n",
                 o.rate, o.burst_factor, o.threads,
                 static_cast<long long>(o.duration_ms));
+    if (!std::isnan(backend->tenant_bringup_ms()))
+      std::printf("  tenant bring-up: %.3f ms, %+.0f KiB resident each\n",
+                  backend->tenant_bringup_ms(), backend->tenant_rss_kib());
     bench::rule();
 
     backend->set_scanning(false);
@@ -680,6 +717,10 @@ int main(int argc, char** argv) {
     report.add("failed_scan_on", static_cast<double>(on.failed));
     report.add("retries_scan_off", static_cast<double>(off.retries));
     report.add("retries_scan_on", static_cast<double>(on.retries));
+    if (!std::isnan(backend->tenant_bringup_ms()))
+      report.add("tenant_bringup_ms", backend->tenant_bringup_ms());
+    if (!std::isnan(backend->tenant_rss_kib()))
+      report.add("tenant_rss_kib", backend->tenant_rss_kib());
     if (coverage_ms >= 0.0) {
       report.add("coverage_period_ms", coverage_ms);
       report.add("scan_bytes_per_sec", scan_bps);
